@@ -11,7 +11,7 @@ from .errors import (ConfigError, DegenerateVariance, DomainError,
                      MaxIterations, NoBracket, Omt2Error, ToleranceNotMet,
                      Unachievable, UnsupportedModel)
 from .gauss import (AlternativeModel, bivariate_null_density, lr_density,
-                    std_normal_cdf, std_normal_pdf, std_normal_quantile)
+                    std_normal_cdf, std_normal_quantile)
 from .numerics import (McConfig, QuadratureConfig, bisect, integrate_region,
                        mc_estimate, normal_pairs)
 from .objective import (ObjectiveSpec, coefficient, combo_any_one, pure_any,

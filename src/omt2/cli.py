@@ -33,10 +33,11 @@ from .errors import (ConfigError, DegenerateVariance, DomainError,
 from .gauss import AlternativeModel
 from .numerics import McConfig, QuadratureConfig
 from .objective import ObjectiveSpec
-from .power_design import (MEASURES, allocation_search, evaluate_power,
-                           fwer_global, mc_power, observed_pvalue,
-                           savings_report, theta_for_group, theta_from_design,
-                           theta_from_marginal_power, TwoArmDesign)
+from .power_design import (MEASURE_WEIGHTS, MEASURES, allocation_search,
+                           evaluate_power, fwer_global, mc_power,
+                           observed_pvalue, savings_report, theta_for_group,
+                           theta_from_design, theta_from_marginal_power,
+                           TwoArmDesign)
 from .procedures import (Procedure, bonferroni, build_bittman, build_omt,
                          closed_stouffer, export_region, fixed_sequence,
                          hommel)
@@ -49,20 +50,32 @@ _PROFILES = {
     "fine": QuadratureConfig(panels_per_axis=48, nodes_per_panel=16, abs_tol=1e-10),
 }
 
-_OBJECTIVES = {
-    "pi_any": (1.0, 0.0, 0.0),
-    "pi_avg": (0.0, 1.0, 0.0),
-    "pi1": (0.0, 0.0, 1.0),
-    "pi_1": (0.0, 0.0, 1.0),
-    "combo": (1.0 / 3.0, 0.0, 2.0 / 3.0),
+# --objective names and the measure whose weights each one selects
+_OBJECTIVES = {"pi_any": "pi_any", "pi_avg": "pi_avg", "pi1": "pi_1",
+               "pi_1": "pi_1", "combo": "pi_combo"}
+
+# Builtin rules by name: (alpha, quadrature config) -> Procedure.  The
+# constructors are looked up when called, so rebinding this module's
+# names reaches them.  Table order is the column order of power tables
+# and of apex's decision rows.
+_BUILTINS = {
+    "closed_stouffer": lambda a, q: closed_stouffer(a),
+    "hommel": lambda a, q: hommel(a),
+    "bittman": lambda a, q: build_bittman(a, q),
+    "fixed_sequence": lambda a, q: fixed_sequence(a),
+    "bonferroni": lambda a, q: bonferroni(a),
 }
+# --procedures selections: the builtins shown after the omt columns
+_SELECTIONS = {"benchmark": ("closed_stouffer", "hommel"),
+               "all": tuple(_BUILTINS)}
+# the optimal-rule columns of every power table: (measure, label)
+_OMT_COLUMNS = (("pi_avg", "omt_avg_any"), ("pi_1", "omt_pi1"),
+                ("pi_combo", "omt_combo"))
 
-_BUILTIN_PROCS = ("hommel", "closed_stouffer", "bittman", "fixed_sequence",
-                  "bonferroni")
-
-# APEX-style default counts: (events_control, n_control, events_treat, n_treat)
+# APEX-style default counts per group, in _COUNT_KEYS order
+_COUNT_KEYS = ("events_control", "n_control", "events_treat", "n_treat")
 _DEFAULT_COUNTS = {1: (166, 1956, 132, 1914), 2: (57, 1218, 33, 1198)}
-_DEFAULT_RATES = (0.075, 0.04875)
+_DEFAULT_RATES = {"rate_control": 0.075, "rate_treat": 0.04875}
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +157,23 @@ def quad_config(profile: str | None) -> QuadratureConfig:
 def _objective_weights(name: str) -> tuple[float, float, float]:
     if name not in _OBJECTIVES:
         raise ConfigError(f"unknown objective {name!r} "
-                          f"(choose from {sorted(set(_OBJECTIVES))})")
-    return _OBJECTIVES[name]
+                          f"(choose from {sorted(_OBJECTIVES)})")
+    return MEASURE_WEIGHTS[_OBJECTIVES[name]]
+
+
+def _measure_weights(measure: str) -> tuple[float, float, float]:
+    if measure not in MEASURE_WEIGHTS:
+        raise ConfigError(f"unknown measure {measure!r} (choose from {MEASURES})")
+    return MEASURE_WEIGHTS[measure]
+
+
+def _marginal_calibration(name: str) -> bool:
+    """True for the marginal-power calibration, False for the design one."""
+    if name in ("marginal-power", "marginal_power"):
+        return True
+    if name != "design":
+        raise ConfigError("calibration must be 'design' or 'marginal-power'")
+    return False
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -157,16 +185,8 @@ def _require(cfg: dict, *keys: str) -> None:
 def _build_procedure(kind: str, alpha: float, objective: str | None,
                      theta1: float | None, theta2: float | None,
                      qcfg: QuadratureConfig) -> Procedure:
-    if kind == "hommel":
-        return hommel(alpha)
-    if kind == "closed_stouffer":
-        return closed_stouffer(alpha)
-    if kind == "bonferroni":
-        return bonferroni(alpha)
-    if kind == "fixed_sequence":
-        return fixed_sequence(alpha)
-    if kind == "bittman":
-        return build_bittman(alpha, qcfg)
+    if kind in _BUILTINS:
+        return _BUILTINS[kind](alpha, qcfg)
     if kind == "omt":
         if objective is None or theta1 is None or theta2 is None:
             raise ConfigError("omt needs --objective, --theta1 and --theta2")
@@ -174,6 +194,40 @@ def _build_procedure(kind: str, alpha: float, objective: str | None,
         spec = ObjectiveSpec(*w, AlternativeModel(theta1, theta2, 0.0), alpha)
         return build_omt(spec, qcfg)
     raise ConfigError(f"unknown procedure {kind!r}")
+
+
+def _power_columns(selection: str, alpha: float, th1: float, th2: float,
+                   qcfg: QuadratureConfig) -> list[tuple[str, Procedure]]:
+    """The optimal-rule columns, then the selection's builtins."""
+    model = AlternativeModel(th1, th2, 0.0)
+    cols = [(label, build_omt(ObjectiveSpec(*MEASURE_WEIGHTS[m], model, alpha),
+                              qcfg))
+            for m, label in _OMT_COLUMNS]
+    return cols + [(name, _BUILTINS[name](alpha, qcfg))
+                   for name in _SELECTIONS[selection]]
+
+
+def _power_table(cols: list[tuple[str, Procedure]],
+                 model: AlternativeModel | None, rho: float | None,
+                 qcfg: QuadratureConfig, out_stream) -> None:
+    """Write the measure x procedure matrix at 4 decimals.
+
+    model=None leaves out the measure rows; rho=None leaves out the
+    global-null fwer row.
+    """
+    width = max(len(name) for name, _ in cols)
+
+    def row(label: str, cells) -> None:
+        out_stream.write(label.ljust(10)
+                         + "".join(c.rjust(width + 2) for c in cells) + "\n")
+
+    row("measure", [name for name, _ in cols])
+    if model is not None:
+        reports = [evaluate_power(proc, model, qcfg) for _, proc in cols]
+        for m in MEASURES:
+            row(m, [f"{rep.get(m):.4f}" for rep in reports])
+    if rho is not None:
+        row("fwer", [f"{fwer_global(proc, rho, qcfg):.4f}" for _, proc in cols])
 
 
 def _write_out(path: str, text: str, stream) -> None:
@@ -195,11 +249,7 @@ _REGION_DEFAULTS = {"proc": "hommel", "alpha": 0.025, "grid": 256,
                     "z_lo": -4.0, "z_hi": 0.0, "out": "region.csv"}
 
 
-def cmd_region(args, out_stream) -> int:
-    cfg = resolve(args, _REGION_KEYS, _REGION_DEFAULTS)
-    if args.dump_config:
-        dump_config(cfg, out_stream)
-        return 0
+def cmd_region(cfg: dict, out_stream) -> int:
     qcfg = quad_config(cfg["quad_profile"])
     proc = _build_procedure(cfg["proc"], cfg["alpha"], cfg["objective"],
                             cfg["theta1"], cfg["theta2"], qcfg)
@@ -226,40 +276,10 @@ _POWER_KEYS = {"procedures": str, "proc": str, "objective": str, "alpha": float,
                "seed": int, "reps": int, "quad_profile": str}
 _POWER_DEFAULTS = {"procedures": None, "proc": None, "alpha": 0.025,
                    "rho": 0.0, "mc": False, "seed": 20260810,
-                   "reps": 1_000_000, "rate_control": _DEFAULT_RATES[0],
-                   "rate_treat": _DEFAULT_RATES[1]}
+                   "reps": 1_000_000, **_DEFAULT_RATES}
 
 
-def _power_columns(selector: str | None, single: str | None, alpha: float,
-                   th1: float, th2: float, qcfg,
-                   objective: str | None = None) -> list[tuple[str, Procedure]]:
-    if single is not None:
-        return [(single, _build_procedure(single, alpha, objective,
-                                          th1, th2, qcfg))]
-    cols: list[tuple[str, Procedure]] = []
-    model = AlternativeModel(th1, th2, 0.0)
-
-    def omt_for(name: str, label: str):
-        spec = ObjectiveSpec(*_objective_weights(name), model, alpha)
-        cols.append((label, build_omt(spec, qcfg)))
-
-    omt_for("pi_avg", "omt_avg_any")
-    omt_for("pi1", "omt_pi1")
-    omt_for("combo", "omt_combo")
-    cols.append(("closed_stouffer", closed_stouffer(alpha)))
-    cols.append(("hommel", hommel(alpha)))
-    if selector == "all":
-        cols.append(("bittman", build_bittman(alpha, qcfg)))
-        cols.append(("fixed_sequence", fixed_sequence(alpha)))
-        cols.append(("bonferroni", bonferroni(alpha)))
-    return cols
-
-
-def cmd_power(args, out_stream) -> int:
-    cfg = resolve(args, _POWER_KEYS, _POWER_DEFAULTS)
-    if args.dump_config:
-        dump_config(cfg, out_stream)
-        return 0
+def cmd_power(cfg: dict, out_stream) -> int:
     qcfg = quad_config(cfg["quad_profile"])
     alpha = cfg["alpha"]
     # calibration: direct shifts, marginal detection power, or the
@@ -279,42 +299,22 @@ def cmd_power(args, out_stream) -> int:
     rho = cfg["rho"]
     if cfg["procedures"] is None and cfg["proc"] is None:
         raise ConfigError("need --proc NAME or --procedures benchmark|all")
-    if cfg["procedures"] not in (None, "benchmark", "all"):
+    if cfg["procedures"] not in (None, *_SELECTIONS):
         raise ConfigError("--procedures must be 'benchmark' or 'all'")
     if rho != 0.0 and (cfg["procedures"] is not None or cfg["proc"] == "omt"):
         raise ConfigError("correlated models only evaluate builtin procedures")
 
-    null_like = (th1 == 0.0 and th2 == 0.0)
-    if null_like and cfg["proc"] is not None and cfg["proc"] != "omt":
-        cols = [(cfg["proc"], _build_procedure(cfg["proc"], alpha, None,
-                                               None, None, qcfg))]
+    if cfg["proc"] is not None:
+        cols = [(cfg["proc"], _build_procedure(cfg["proc"], alpha,
+                                               cfg["objective"], th1, th2, qcfg))]
     else:
-        cols = _power_columns(cfg["procedures"], cfg["proc"], alpha, th1, th2,
-                              qcfg, objective=cfg["objective"])
+        cols = _power_columns(cfg["procedures"], alpha, th1, th2, qcfg)
 
     model = AlternativeModel(th1, th2, rho)
-    width = max(len(name) for name, _ in cols)
-    header = "measure".ljust(10) + "".join(name.rjust(width + 2) for name, _ in cols)
     out_stream.write(f"alpha = {alpha:.6g}  theta = ({th1:.6g}, {th2:.6g})"
                      f"  rho = {rho:.6g}\n")
-    out_stream.write(header + "\n")
-    reports = []
-    for _, proc in cols:
-        if null_like:
-            reports.append(None)
-        else:
-            reports.append(evaluate_power(proc, model, qcfg))
-    for m in MEASURES:
-        if null_like:
-            continue
-        row = m.ljust(10)
-        for rep in reports:
-            row += f"{rep.get(m):.4f}".rjust(width + 2)
-        out_stream.write(row + "\n")
-    row = "fwer".ljust(10)
-    for _, proc in cols:
-        row += f"{fwer_global(proc, rho, qcfg):.4f}".rjust(width + 2)
-    out_stream.write(row + "\n")
+    null_like = th1 == 0.0 and th2 == 0.0
+    _power_table(cols, None if null_like else model, rho, qcfg, out_stream)
 
     if cfg["mc"]:
         mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"])
@@ -329,16 +329,11 @@ def cmd_power(args, out_stream) -> int:
 _ALLOC_KEYS = {"N": int, "grid": str, "measure": str, "alpha": float,
                "rate_control": float, "rate_treat": float, "out": str,
                "quad_profile": str}
-_ALLOC_DEFAULTS = {"measure": "pi_1", "alpha": 0.025,
-                   "rate_control": _DEFAULT_RATES[0],
-                   "rate_treat": _DEFAULT_RATES[1], "out": "allocation.csv"}
+_ALLOC_DEFAULTS = {"measure": "pi_1", "alpha": 0.025, **_DEFAULT_RATES,
+                   "out": "allocation.csv"}
 
 
-def cmd_allocate(args, out_stream) -> int:
-    cfg = resolve(args, _ALLOC_KEYS, _ALLOC_DEFAULTS)
-    if args.dump_config:
-        dump_config(cfg, out_stream)
-        return 0
+def cmd_allocate(cfg: dict, out_stream) -> int:
     _require(cfg, "N", "grid")
     qcfg = quad_config(cfg["quad_profile"])
     try:
@@ -348,9 +343,7 @@ def cmd_allocate(args, out_stream) -> int:
     if not grid:
         raise ConfigError("allocation grid is empty")
     measure = cfg["measure"]
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r} (choose from {MEASURES})")
-    weights = _objective_weights({"pi_1": "pi1", "pi_combo": "combo"}.get(measure, measure))
+    weights = _measure_weights(measure)
     result = allocation_search(cfg["N"], weights, cfg["rate_control"],
                                cfg["rate_treat"], grid, cfg["alpha"], qcfg)
     _write_out(cfg["out"], result.to_csv(), out_stream)
@@ -362,40 +355,24 @@ def cmd_allocate(args, out_stream) -> int:
     return 0
 
 
-_APEX_KEYS = {"alpha": float, "events_control1": int, "n_control1": int,
-              "events_treat1": int, "n_treat1": int, "events_control2": int,
-              "n_control2": int, "events_treat2": int, "n_treat2": int,
+_APEX_COUNTS = {f"{key}{g}": n for g, counts in _DEFAULT_COUNTS.items()
+                for key, n in zip(_COUNT_KEYS, counts)}
+_APEX_KEYS = {"alpha": float, **dict.fromkeys(_APEX_COUNTS, int),
               "rate_control": float, "rate_treat": float, "calibration": str,
               "beta": float, "skip_power": bool, "quad_profile": str}
-_APEX_DEFAULTS = {"alpha": 0.025,
-                  "events_control1": _DEFAULT_COUNTS[1][0],
-                  "n_control1": _DEFAULT_COUNTS[1][1],
-                  "events_treat1": _DEFAULT_COUNTS[1][2],
-                  "n_treat1": _DEFAULT_COUNTS[1][3],
-                  "events_control2": _DEFAULT_COUNTS[2][0],
-                  "n_control2": _DEFAULT_COUNTS[2][1],
-                  "events_treat2": _DEFAULT_COUNTS[2][2],
-                  "n_treat2": _DEFAULT_COUNTS[2][3],
-                  "rate_control": _DEFAULT_RATES[0],
-                  "rate_treat": _DEFAULT_RATES[1],
+_APEX_DEFAULTS = {"alpha": 0.025, **_APEX_COUNTS, **_DEFAULT_RATES,
                   "calibration": "design", "beta": 0.85, "skip_power": False}
 
 
-def cmd_apex(args, out_stream) -> int:
-    cfg = resolve(args, _APEX_KEYS, _APEX_DEFAULTS)
-    if args.dump_config:
-        dump_config(cfg, out_stream)
-        return 0
+def cmd_apex(cfg: dict, out_stream) -> int:
     qcfg = quad_config(cfg["quad_profile"])
     alpha = cfg["alpha"]
     p_obs = []
     for g in (1, 2):
-        p = observed_pvalue(cfg[f"events_control{g}"], cfg[f"n_control{g}"],
-                            cfg[f"events_treat{g}"], cfg[f"n_treat{g}"])
+        ec, nc, et, nt = (cfg[f"{key}{g}"] for key in _COUNT_KEYS)
+        p = observed_pvalue(ec, nc, et, nt)
         p_obs.append(p)
-        out_stream.write(f"group {g}: events/arm "
-                         f"{cfg[f'events_control{g}']}/{cfg[f'n_control{g}']} vs "
-                         f"{cfg[f'events_treat{g}']}/{cfg[f'n_treat{g}']}"
+        out_stream.write(f"group {g}: events/arm {ec}/{nc} vs {et}/{nt}"
                          f"  one-sided p = {p:.4f}\n")
 
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
@@ -408,19 +385,14 @@ def cmd_apex(args, out_stream) -> int:
     out_stream.write(f"calibrated shifts (marginal power {cfg['beta']:g}): "
                      f"theta = ({th_marg:.6g}, {th_marg:.6g})\n")
 
-    if cfg["calibration"] == "design":
-        th1, th2 = th_design
-    elif cfg["calibration"] in ("marginal-power", "marginal_power"):
+    if _marginal_calibration(cfg["calibration"]):
         th1 = th2 = th_marg
     else:
-        raise ConfigError("calibration must be 'design' or 'marginal-power'")
+        th1, th2 = th_design
 
-    cols = _power_columns("benchmark", None, alpha, th1, th2, qcfg)
+    cols = _power_columns("all", alpha, th1, th2, qcfg)
     out_stream.write(f"decisions at observed p = ({p_obs[0]:.4f}, {p_obs[1]:.4f}):\n")
-    extra = [("bittman", build_bittman(alpha, qcfg)),
-             ("fixed_sequence", fixed_sequence(alpha)),
-             ("bonferroni", bonferroni(alpha))]
-    for name, proc in cols + extra:
+    for name, proc in cols:
         d = proc.decide((p_obs[0], p_obs[1]))
         verdict = {(False, False): "retain both",
                    (True, False): "reject H1 only",
@@ -429,18 +401,11 @@ def cmd_apex(args, out_stream) -> int:
         out_stream.write(f"  {name}: {verdict}\n")
 
     if not cfg["skip_power"]:
-        model = AlternativeModel(th1, th2, 0.0)
-        width = max(len(name) for name, _ in cols)
         out_stream.write(f"power matrix ({cfg['calibration']} calibration, "
                          f"theta = ({th1:.6g}, {th2:.6g})):\n")
-        out_stream.write("measure".ljust(10)
-                         + "".join(n.rjust(width + 2) for n, _ in cols) + "\n")
-        reports = [evaluate_power(p, model, qcfg) for _, p in cols]
-        for m in MEASURES:
-            row = m.ljust(10)
-            for rep in reports:
-                row += f"{rep.get(m):.4f}".rjust(width + 2)
-            out_stream.write(row + "\n")
+        n_benchmark = len(_OMT_COLUMNS) + len(_SELECTIONS["benchmark"])
+        _power_table(cols[:n_benchmark], AlternativeModel(th1, th2, 0.0), None,
+                     qcfg, out_stream)
         out_stream.write("note: power values depend on the calibration mode; "
                          "see --calibration.\n")
     return 0
@@ -451,34 +416,25 @@ _SAVINGS_KEYS = {"measure": str, "N": int, "alpha": float, "calibration": str,
                  "n_cap": int, "quad_profile": str}
 _SAVINGS_DEFAULTS = {"measure": "pi_any", "N": 4800, "alpha": 0.025,
                      "calibration": "marginal-power", "beta": 0.85,
-                     "rate_control": _DEFAULT_RATES[0],
-                     "rate_treat": _DEFAULT_RATES[1], "n_cap": 200_000}
+                     **_DEFAULT_RATES, "n_cap": 200_000}
 
 
-def cmd_savings(args, out_stream) -> int:
-    cfg = resolve(args, _SAVINGS_KEYS, _SAVINGS_DEFAULTS)
-    if args.dump_config:
-        dump_config(cfg, out_stream)
-        return 0
+def cmd_savings(cfg: dict, out_stream) -> int:
     qcfg = quad_config(cfg["quad_profile"])
     alpha, n_ref = cfg["alpha"], cfg["N"]
     measure = cfg["measure"]
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r} (choose from {MEASURES})")
+    weights = _measure_weights(measure)
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
 
-    if cfg["calibration"] in ("marginal-power", "marginal_power"):
+    if _marginal_calibration(cfg["calibration"]):
         th_ref = theta_from_marginal_power(cfg["beta"], alpha)
 
         def theta_of_n(n: int) -> float:
             return th_ref * math.sqrt(n / n_ref)
-    elif cfg["calibration"] == "design":
+    else:
         def theta_of_n(n: int) -> float:
             return theta_for_group(n // 2, rc, rt)
-    else:
-        raise ConfigError("calibration must be 'design' or 'marginal-power'")
 
-    weights = _objective_weights({"pi_1": "pi1", "pi_combo": "combo"}.get(measure, measure))
     rep = savings_report(measure, weights, n_ref, theta_of_n, alpha, qcfg,
                          n_cap=cfg["n_cap"])
     out_stream.write(f"measure: {measure}  calibration: {cfg['calibration']}\n")
@@ -507,19 +463,22 @@ def _add_common(sub: argparse.ArgumentParser, keys: dict[str, type]) -> None:
             sub.add_argument(flag, dest=key, type=typ, default=None)
 
 
+_COMMANDS = {
+    "region": (_REGION_KEYS, _REGION_DEFAULTS, cmd_region),
+    "power": (_POWER_KEYS, _POWER_DEFAULTS, cmd_power),
+    "allocate": (_ALLOC_KEYS, _ALLOC_DEFAULTS, cmd_allocate),
+    "apex": (_APEX_KEYS, _APEX_DEFAULTS, cmd_apex),
+    "savings": (_SAVINGS_KEYS, _SAVINGS_DEFAULTS, cmd_savings),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omt2",
         description="Optimal two-hypothesis testing procedures and design")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, keys, fn in (("region", _REGION_KEYS, cmd_region),
-                           ("power", _POWER_KEYS, cmd_power),
-                           ("allocate", _ALLOC_KEYS, cmd_allocate),
-                           ("apex", _APEX_KEYS, cmd_apex),
-                           ("savings", _SAVINGS_KEYS, cmd_savings)):
-        sub = subs.add_parser(name)
-        _add_common(sub, keys)
-        sub.set_defaults(func=fn)
+    for name, (keys, _, _) in _COMMANDS.items():
+        _add_common(subs.add_parser(name), keys)
     return parser
 
 
@@ -530,8 +489,13 @@ def main(argv: list[str] | None = None, out_stream=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    keys, defaults, command = _COMMANDS[args.command]
     try:
-        return args.func(args, out)
+        cfg = resolve(args, keys, defaults)
+        if args.dump_config:
+            dump_config(cfg, out)
+            return 0
+        return command(cfg, out)
     except (ConfigError, DomainError, DegenerateVariance,
             UnsupportedModel) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ from .errors import DomainError
 __all__ = [
     "AlternativeModel",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
+    "alpha_lines",
     "lr_density",
     "bivariate_null_density",
 ]
@@ -76,14 +77,6 @@ def std_normal_cdf(z):
             raise DomainError("z must not be NaN")
         return 0.5 * math.erfc(-zf / _SQRT2)
     return ndtr(np.asarray(z, dtype=float))
-
-
-def std_normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z)) if np.ndim(z) else (
-        _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-    )
 
 
 # Coefficients of Acklam's rational approximation to the normal
@@ -152,6 +145,17 @@ def std_normal_quantile(u):
     return float(x[0]) if scalar else x
 
 
+@functools.lru_cache
+def alpha_lines(alpha: float) -> tuple[float, float]:
+    """The two z-lines every rule is drawn on: (quantile(alpha),
+    quantile(alpha/2)).
+
+    Cached per alpha: threshold solves and design searches build a new
+    Procedure at every step, and each asks for these lines again.
+    """
+    return std_normal_quantile(alpha), std_normal_quantile(alpha / 2.0)
+
+
 def lr_density(p, theta: float):
     """Density at ``p`` of a p-value generated by ``Phi(theta + Z)``.
 
@@ -163,11 +167,6 @@ def lr_density(p, theta: float):
         raise DomainError(f"theta must be finite, got {theta!r}")
     z = std_normal_quantile(p)
     return np.exp(z * theta - 0.5 * theta * theta)
-
-
-def lr_density_z(z, theta: float):
-    """`lr_density` expressed in the z-score variable ``z = quantile(p)``."""
-    return np.exp(np.asarray(z, dtype=float) * theta - 0.5 * theta * theta)
 
 
 def bivariate_null_density(z1, z2, rho: float):

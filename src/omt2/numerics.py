@@ -10,11 +10,11 @@ are aligned with those boundaries so that no panel straddles an
 indicator discontinuity; accuracy is certified by comparing against a
 panel-doubled evaluation.
 
-For the decision-region integrals used by the procedures module there
-is a faster exact-inner-integral path (`ray_mass`): every decision
-region encountered in this package has columns of the form
-``{z2 <= cut(z1)}``, so the inner integral is a closed-form normal CDF
-and only the outer integral needs quadrature.
+For the decision-region integrals there is a faster exact-inner-integral
+path, `procedures.region_mass`: every decision region encountered in
+this package has columns of the form ``{z2 <= cut(z1)}``, so the inner
+integral is a closed-form normal CDF and only the outer integral needs
+quadrature.
 
 Monte Carlo engine
 ------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .gauss import AlternativeModel, std_normal_quantile
+from .gauss import AlternativeModel, alpha_lines, std_normal_quantile
 
 __all__ = ["ObjectiveSpec", "pure_any", "pure_avg", "pure_one", "combo_any_one",
            "coefficient", "score", "score_z"]
@@ -139,7 +139,7 @@ def score_z(spec: ObjectiveSpec, z1, z2):
     whole L-shaped domain.
     """
     _require_independent(spec)
-    za = std_normal_quantile(spec.alpha)
+    za = alpha_lines(spec.alpha)[0]
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     e1, e2 = _lr_pair_z(spec, z1, z2)

@@ -23,19 +23,29 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import DegenerateVariance, DomainError, Unachievable
-from .gauss import AlternativeModel, std_normal_cdf, std_normal_quantile
+from .gauss import (AlternativeModel, alpha_lines, std_normal_cdf,
+                    std_normal_quantile)
 from .numerics import McConfig, QuadratureConfig, mc_estimate
 from .objective import ObjectiveSpec
 from .procedures import Procedure, build_omt, hommel, region_mass
 
 __all__ = [
     "PowerReport", "TwoArmDesign", "AllocationResult", "SavingsReport",
-    "MEASURES", "theta_from_design", "observed_pvalue",
+    "MEASURES", "MEASURE_WEIGHTS", "theta_from_design", "observed_pvalue",
     "theta_from_marginal_power", "evaluate_power", "fwer_global",
     "mc_power", "allocation_search", "required_n_for_power", "savings_report",
 ]
 
 MEASURES = ("pi_avg", "pi_any", "pi_1", "pi_combo")
+
+# objective weights (w_any, w_avg, w_one) under which the objective is
+# the measure itself
+MEASURE_WEIGHTS = {
+    "pi_avg": (0.0, 1.0, 0.0),
+    "pi_any": (1.0, 0.0, 0.0),
+    "pi_1": (0.0, 0.0, 1.0),
+    "pi_combo": (1.0 / 3.0, 0.0, 2.0 / 3.0),
+}
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,7 @@ def theta_from_marginal_power(beta: float, alpha: float) -> float:
         raise DomainError(f"alpha must be in (0, 0.5), got {alpha!r}")
     if not alpha <= beta < 1.0:
         raise DomainError(f"beta must be in [alpha, 1), got {beta!r}")
-    return std_normal_quantile(alpha) - std_normal_quantile(beta)
+    return alpha_lines(alpha)[0] - std_normal_quantile(beta)
 
 
 def split_arms(n_persons: int) -> tuple[int, int]:
@@ -230,7 +240,7 @@ def _single_hypothesis_report(theta_funded: float, alpha: float) -> PowerReport:
     The unfunded hypothesis is a true null and its rejections never
     count as true discoveries.
     """
-    beta = float(std_normal_cdf(std_normal_quantile(alpha) - theta_funded))
+    beta = float(std_normal_cdf(alpha_lines(alpha)[0] - theta_funded))
     return PowerReport(pi_avg=0.5 * beta, pi_any=beta, pi_1=0.5 * beta,
                        pi_combo=beta / 3.0 + beta / 3.0)
 

@@ -39,7 +39,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, ToleranceNotMet
-from .gauss import AlternativeModel, clamp_pvalue, std_normal_quantile
+from .gauss import (AlternativeModel, alpha_lines, clamp_pvalue,
+                    std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, panel_nodes
 from .objective import ObjectiveSpec, score_z
 
@@ -103,8 +104,7 @@ class Procedure:
 
     # -- vectorized decisions on z-scores ---------------------------------
     def decide_z(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        za = std_normal_quantile(self.alpha)
-        zh = std_normal_quantile(self.alpha / 2.0)
+        za, zh = alpha_lines(self.alpha)
         in1 = z1 <= za
         in2 = z2 <= za
         if self.kind == "bonferroni":
@@ -130,8 +130,7 @@ class Procedure:
         z2, -inf a column where it is never rejected.
         """
         z1 = np.asarray(z1, dtype=float)
-        za = std_normal_quantile(self.alpha)
-        zh = std_normal_quantile(self.alpha / 2.0)
+        za, zh = alpha_lines(self.alpha)
         inf = np.inf
         if self.kind == "bonferroni":
             c1 = np.where(z1 <= zh, inf, -inf)
@@ -158,8 +157,7 @@ class Procedure:
 
     def z_breakpoints(self) -> list[float]:
         """z1 values where the column cuts kink or jump (panel splits)."""
-        za = std_normal_quantile(self.alpha)
-        zh = std_normal_quantile(self.alpha / 2.0)
+        za, zh = alpha_lines(self.alpha)
         if self.kind in ("closed_stouffer", "bittman"):
             return [za, self.t_sum - za]
         if self.kind == "omt":
@@ -188,7 +186,7 @@ def hommel(alpha: float) -> Procedure:
 def closed_stouffer(alpha: float) -> Procedure:
     a = _check_alpha(alpha)
     return Procedure("closed_stouffer", a,
-                     t_sum=math.sqrt(2.0) * std_normal_quantile(a))
+                     t_sum=math.sqrt(2.0) * alpha_lines(a)[0])
 
 
 def fixed_sequence(alpha: float) -> Procedure:
@@ -200,14 +198,21 @@ def hommel_coincidence_bound(alpha: float) -> float:
     hommel: -log(2) / (quantile(alpha) - quantile(alpha/2))."""
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must be in (0, 0.5), got {alpha!r}")
-    za = std_normal_quantile(alpha)
-    zh = std_normal_quantile(alpha / 2.0)
+    za, zh = alpha_lines(alpha)
     return -math.log(2.0) / (za - zh)
 
 
 # ----------------------------------------------------------------------
 # Ray-mass evaluation
 # ----------------------------------------------------------------------
+
+def _finite_mass(mass: float, *procs: Procedure) -> float:
+    """Pass a finite mass through; a NaN cut or threshold raises."""
+    if not math.isfinite(mass):
+        raise ToleranceNotMet(
+            f"non-finite mass {mass} for {', '.join(p.describe() for p in procs)}")
+    return mass
+
 
 def region_mass(proc: Procedure, which: str,
                 model: AlternativeModel | None,
@@ -223,7 +228,7 @@ def region_mass(proc: Procedure, which: str,
         model = AlternativeModel(0.0, 0.0, 0.0)
     m1, m2, rho = model.theta1, model.theta2, model.rho
     s_cond = math.sqrt(1.0 - rho * rho)
-    za = std_normal_quantile(proc.alpha)
+    za = alpha_lines(proc.alpha)[0]
 
     lo = min(m1 - Z_RANGE, za - 1.0)
     hi = max(m1 + Z_RANGE, za + 1.0)
@@ -240,13 +245,11 @@ def region_mass(proc: Procedure, which: str,
         cut = np.minimum(c1, c2)
     else:
         raise DomainError(f"which must be d1/d2/any/both, got {which!r}")
-    cond_mean = m2 + rho * (z1 - m1)
-    inner = np.where(np.isposinf(cut), 1.0,
-                     np.where(np.isneginf(cut), 0.0,
-                              ndtr((np.where(np.isfinite(cut), cut, 0.0)
-                                    - cond_mean) / s_cond)))
+    # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
+    # no special case; a NaN cut surfaces as a non-finite mass
+    inner = ndtr((cut - (m2 + rho * (z1 - m1))) / s_cond)
     pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
-    return float(np.sum(w * pdf1 * inner))
+    return _finite_mass(float(np.sum(w * pdf1 * inner)), proc)
 
 
 def region_symmetric_difference(pa: Procedure, pb: Procedure,
@@ -267,17 +270,12 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
     lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
     lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
 
-    def cdf(x):
-        return np.where(np.isposinf(x), 1.0,
-                        np.where(np.isneginf(x), 0.0,
-                                 ndtr(np.where(np.isfinite(x), x, 0.0))))
-
-    mass = (cdf(hi1) - cdf(lo1)) + (cdf(hi2) - cdf(lo2))
+    mass = (ndtr(hi1) - ndtr(lo1)) + (ndtr(hi2) - ndtr(lo2))
     olo = np.maximum(lo1, lo2)
     ohi = np.minimum(hi1, hi2)
-    mass = mass - np.where(ohi > olo, cdf(ohi) - cdf(olo), 0.0)
+    mass = mass - np.where(ohi > olo, ndtr(ohi) - ndtr(olo), 0.0)
     pdf1 = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
-    return float(np.sum(w * pdf1 * mass))
+    return _finite_mass(float(np.sum(w * pdf1 * mass)), pa, pb)
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +291,7 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
     """
     a = _check_alpha(alpha)
     cfg = cfg or QuadratureConfig()
-    za = std_normal_quantile(a)
-    lo = math.sqrt(2.0) * za
+    lo = math.sqrt(2.0) * alpha_lines(a)[0]
 
     def null_mass(t: float) -> float:
         return region_mass(Procedure("bittman", a, t_sum=t), "any", None, cfg)
@@ -325,7 +322,7 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     """
     w_any, w_avg, w_one = spec.weights
     t1, t2 = spec.model.theta1, spec.model.theta2
-    za = std_normal_quantile(spec.alpha)
+    za = alpha_lines(spec.alpha)[0]
     e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
 
@@ -364,7 +361,7 @@ def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
     """z1 locations where the union cut changes branch (all closed-form)."""
     w_any, w_avg, w_one = spec.weights
     t1, t2 = spec.model.theta1, spec.model.theta2
-    za = std_normal_quantile(spec.alpha)
+    za = alpha_lines(spec.alpha)[0]
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
     kinks = []
 
@@ -401,7 +398,7 @@ def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Proce
                            "any", None, cfg)
 
     # bracket on the log scale around the corner score value
-    za = std_normal_quantile(alpha)
+    za = alpha_lines(alpha)[0]
     corner = float(score_z(spec, np.array([za]), np.array([za]))[0])
     tau_hi = math.log(corner) if corner > 0 else 0.0
     while null_mass_log(tau_hi) > alpha:
@@ -470,8 +467,7 @@ def export_region(proc: Procedure, grid_size: int,
     if not z_hi > z_lo:
         raise DomainError("z_hi must exceed z_lo")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)
-    for line in (std_normal_quantile(proc.alpha),
-                 std_normal_quantile(proc.alpha / 2.0)):
+    for line in alpha_lines(proc.alpha):
         if z_lo < line < z_hi:
             k = int(np.argmin(np.abs(axis - line)))
             if 0 < k < grid_size:

@@ -245,16 +245,24 @@ class TestSavingsCommand:
 
 
 class TestConfigHandling:
-    def test_dump_config_round_trip(self, tmp_path):
-        argv = ["power", "--proc", "hommel", "--theta1", "-2.0",
-                "--theta2", "-1.5"]
+    @pytest.mark.parametrize("argv", [
+        ["region", "--proc", "omt", "--objective", "combo", "--theta1", "-3.0",
+         "--theta2", "-2.0", "--grid", "32", "--out", "-"],
+        ["power", "--proc", "hommel", "--theta1", "-2.0", "--theta2", "-1.5"],
+        ["allocate", "--N", "600", "--grid", "0.3,0.5", "--measure", "pi_combo",
+         "--out", "-"],
+        ["apex", "--calibration", "marginal-power", "--skip-power"],
+        ["savings", "--measure", "pi_1", "--N", "1200", "--quad-profile",
+         "coarse"],
+    ], ids=lambda argv: argv[0])
+    def test_dump_config_round_trip(self, tmp_path, argv):
         code, reference = run(argv)
         assert code == 0
         code, dumped = run(argv + ["--dump-config"])
         assert code == 0
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(dumped)
-        code, reproduced = run(["power", "--config", str(cfg_file)])
+        code, reproduced = run([argv[0], "--config", str(cfg_file)])
         assert code == 0
         assert reproduced == reference
 

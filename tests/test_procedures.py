@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from omt2 import (AlternativeModel, DomainError, UnsupportedModel,
-                  bonferroni, build_bittman, build_omt,
-                  closed_stouffer, combo_any_one, export_region,
+from omt2 import (AlternativeModel, DomainError, ObjectiveSpec, Procedure,
+                  ToleranceNotMet, UnsupportedModel, bonferroni, build_bittman,
+                  build_omt, closed_stouffer, combo_any_one, export_region,
                   fixed_sequence, fwer_global, hommel,
-                  hommel_coincidence_bound, mc_estimate, pure_any, pure_avg,
-                  pure_one, region_mass, region_symmetric_difference,
-                  std_normal_quantile)
+                  hommel_coincidence_bound, mc_estimate, normal_pairs,
+                  pure_any, pure_avg, pure_one, region_mass,
+                  region_symmetric_difference, std_normal_quantile)
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -260,6 +260,49 @@ class TestStructuralRestrictions:
         assert dq == (True, False)
         # componentwise dq >= dp fails
         assert not (dq[0] >= dp[0] and dq[1] >= dp[1])
+
+
+class TestRuleDefinitionsAgree:
+    """Each rule is defined twice: pointwise by `decide_z` (the Monte
+    Carlo path) and per column by `column_cuts` (the quadrature path).
+    The two must give the same decisions wherever they are asked."""
+
+    MODEL = AlternativeModel(-2.2, -2.9)
+    WEIGHTS = {"any": (1.0, 0.0, 0.0), "avg": (0.0, 1.0, 0.0),
+               "one": (0.0, 0.0, 1.0), "combo": (1.0 / 3.0, 0.0, 2.0 / 3.0),
+               "interior": (0.2, 0.3, 0.5)}
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+    def test_decide_z_matches_column_cuts(self, alpha, quad_cfg):
+        rules = {"bonferroni": bonferroni(alpha), "hommel": hommel(alpha),
+                 "closed_stouffer": closed_stouffer(alpha),
+                 "fixed_sequence": fixed_sequence(alpha),
+                 "bittman": build_bittman(alpha, quad_cfg)}
+        for name, w in self.WEIGHTS.items():
+            spec = ObjectiveSpec(*w, self.MODEL, alpha)
+            rules[f"omt_{name}"] = build_omt(spec, quad_cfg)
+        # 3 x 65536 seeded draws: the alternative and both semi-nulls
+        e1, e2 = normal_pairs(20260811, 65536)
+        t1, t2 = self.MODEL.thetas
+        mismatches = {}
+        for name, proc in rules.items():
+            for m1, m2 in ((t1, t2), (t1, 0.0), (0.0, t2)):
+                z1, z2 = m1 + e1, m2 + e2
+                d1, d2 = proc.decide_z(z1, z2)
+                c1, c2 = proc.column_cuts(z1)
+                bad = np.sum(d1 != (z2 <= c1)) + np.sum(d2 != (z2 <= c2))
+                if bad:
+                    mismatches[(name, m1, m2)] = int(bad)
+        assert mismatches == {}
+
+
+class TestRayMassGuards:
+    def test_nan_threshold_is_not_read_as_zero(self, quad_cfg):
+        proc = Procedure("closed_stouffer", ALPHA, t_sum=math.nan)
+        with pytest.raises(ToleranceNotMet):
+            region_mass(proc, "any", None, quad_cfg)
+        with pytest.raises(ToleranceNotMet):
+            region_symmetric_difference(proc, hommel(ALPHA), quad_cfg)
 
 
 class TestRegionExport:
