@@ -303,6 +303,7 @@ def cmd_power(cfg: dict, out_stream) -> int:
         raise ConfigError("--procedures must be 'benchmark' or 'all'")
     if rho != 0.0 and (cfg["procedures"] is not None or cfg["proc"] == "omt"):
         raise ConfigError("correlated models only evaluate builtin procedures")
+    mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"]) if cfg["mc"] else None
 
     if cfg["proc"] is not None:
         cols = [(cfg["proc"], _build_procedure(cfg["proc"], alpha,
@@ -316,8 +317,7 @@ def cmd_power(cfg: dict, out_stream) -> int:
     null_like = th1 == 0.0 and th2 == 0.0
     _power_table(cols, None if null_like else model, rho, qcfg, out_stream)
 
-    if cfg["mc"]:
-        mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"])
+    if mcc is not None:
         out_stream.write("monte carlo (mean, se):\n")
         for (name, proc) in cols:
             est = mc_power(proc, model, mcc)

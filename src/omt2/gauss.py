@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
@@ -32,9 +32,6 @@ __all__ = [
     "lr_density",
     "bivariate_null_density",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Smallest p-value accepted by decision rules before transforming to a
 # z-score; values below are clamped (densities on the open square only).
@@ -68,81 +65,27 @@ class AlternativeModel:
 
 
 def std_normal_cdf(z):
-    """Standard normal CDF, accurate to ~1e-16 via the complementary
-    error function.  Accepts scalars or arrays; saturates at 0/1 in the
-    far tails instead of raising."""
+    """Standard normal CDF (scipy's ``ndtr``), accurate to ~1e-16.
+    Accepts scalars or arrays; saturates at 0/1 in the far tails
+    instead of raising."""
     if np.ndim(z) == 0:
         zf = float(z)
         if math.isnan(zf):
             raise DomainError("z must not be NaN")
-        return 0.5 * math.erfc(-zf / _SQRT2)
+        return float(ndtr(zf))
     return ndtr(np.asarray(z, dtype=float))
 
 
-# Coefficients of Acklam's rational approximation to the normal
-# quantile (relative error < 1.15e-9 before refinement).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-_ACKLAM_PLOW = 0.02425
-
-
-def _acklam(u: np.ndarray) -> np.ndarray:
-    """Vectorized Acklam initial estimate of the normal quantile."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    x = np.empty_like(u)
-
-    lower = u < _ACKLAM_PLOW
-    upper = u > 1.0 - _ACKLAM_PLOW
-    central = ~(lower | upper)
-
-    if np.any(central):
-        q = u[central] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[central] = num * q / den
-
-    # the tail expression evaluates directly to the (negative) lower-tail
-    # quantile; the upper tail mirrors it
-    for mask, p, sign in ((lower, u[lower], 1.0), (upper, 1.0 - u[upper], -1.0)):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(p))
-            num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-            den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-            x[mask] = sign * num / den
-    return x
-
-
 def std_normal_quantile(u):
-    """Inverse of the standard normal CDF on (0, 1).
+    """Inverse of the standard normal CDF on (0, 1), scipy's ``ndtri``.
 
-    Acklam's rational approximation refined by one Newton step against
-    the erfc-based CDF; round-trips with `std_normal_cdf` to ~1e-15.
-    The upper tail is mirrored through the lower one so the Newton
-    residual keeps full relative precision on both sides.  Raises
-    DomainError outside the open interval.
+    Within a few ulp of the exact quantile over the whole open interval.
+    Raises DomainError outside it, and for NaN.
     """
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    arr = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"quantile argument must be in (0, 1), got {u!r}")
-    flip = arr > 0.5
-    v = np.where(flip, 1.0 - arr, arr)
-    y = _acklam(v)
-    # Newton refinement: y -= (Phi(y) - v) / phi(y)
-    err = ndtr(y) - v
-    y -= err / (_INV_SQRT_2PI * np.exp(-0.5 * y * y))
-    x = np.where(flip, -y, y)
-    return float(x[0]) if scalar else x
+    return float(ndtri(arr)) if arr.ndim == 0 else ndtri(arr)
 
 
 @functools.lru_cache

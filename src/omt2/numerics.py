@@ -26,12 +26,13 @@ execution order.  Output k of the stream is
 
 where mix64 is the standard splitmix64 finalizer.  Uniforms are the top
 53 bits offset by half an ulp (so they lie strictly inside (0, 1)), and
-normal deviates are produced by the inverse-CDF transform, reusing
-`gauss.std_normal_quantile`.
+normal deviates are produced by the inverse-CDF transform
+`gauss.std_normal_quantile` (scipy's ``ndtri``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -90,14 +91,10 @@ class McConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
 
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_nodes(lo: float, hi: float, breaks: Sequence[float],
@@ -247,10 +244,7 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
-_PAIR_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_PAIR_CACHE_MAX = 4
-
-
+@functools.lru_cache(maxsize=4)
 def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal vectors of length ``reps``.
 
@@ -258,14 +252,8 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     a pure function of (seed, reps, k).  The most recent draws are
     memoized because many checks reuse the same base sample.
     """
-    key = (int(seed), int(reps))
-    if key not in _PAIR_CACHE:
-        if len(_PAIR_CACHE) >= _PAIR_CACHE_MAX:
-            _PAIR_CACHE.pop(next(iter(_PAIR_CACHE)))
-        u = uniforms(seed, 0, 2 * reps)
-        _PAIR_CACHE[key] = (std_normal_quantile(u[:reps]),
-                            std_normal_quantile(u[reps:]))
-    return _PAIR_CACHE[key]
+    u = uniforms(seed, 0, 2 * reps)
+    return std_normal_quantile(u[:reps]), std_normal_quantile(u[reps:])
 
 
 def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],

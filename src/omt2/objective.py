@@ -49,7 +49,7 @@ _WEIGHT_TOL = 1e-12
 class ObjectiveSpec:
     """Convex weights over the three objectives plus the alternative.
 
-    Weights must be nonnegative and sum to 1 within 1e-12.  Both shifts
+    Weights must lie in [0, 1] and sum to 1 within 1e-12.  Both shifts
     must be strictly negative (theta = 0 is the boundary null and gives
     a degenerate score) and alpha must lie in (0, 0.5].
     """
@@ -62,8 +62,8 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         w = (self.w_any, self.w_avg, self.w_one)
-        if any(x < 0 for x in w):
-            raise DomainError(f"objective weights must be nonnegative, got {w}")
+        if any(not 0.0 <= x <= 1.0 for x in w):  # also rejects NaN
+            raise DomainError(f"objective weights must lie in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"objective weights must sum to 1, got {w}")
         if not 0.0 < self.alpha <= 0.5:

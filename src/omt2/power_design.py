@@ -259,7 +259,7 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
     if not r_grid:
         raise DomainError("r_grid must be nonempty")
     grid = sorted(float(r) for r in r_grid)
-    if grid[0] < 0.0 or grid[-1] > 1.0:
+    if any(not 0.0 <= r <= 1.0 for r in grid):
         raise DomainError("allocation splits must lie in [0, 1]")
     reports = []
     for r in grid:
@@ -335,6 +335,8 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     the same exchangeable calibration theta_of_n, and reports the
     relative saving (N_required - n_reference) / N_required * 100.
     """
+    if not (isinstance(n_reference, int) and n_reference >= 1):
+        raise DomainError(f"n_reference must be a positive integer, got {n_reference!r}")
     cfg = cfg or QuadratureConfig()
     baseline = baseline or hommel(alpha)
     th_ref = theta_of_n(n_reference)

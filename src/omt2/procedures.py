@@ -464,8 +464,8 @@ def export_region(proc: Procedure, grid_size: int,
     """
     if grid_size < 16:
         raise DomainError("grid_size must be >= 16")
-    if not z_hi > z_lo:
-        raise DomainError("z_hi must exceed z_lo")
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_hi > z_lo):
+        raise DomainError("z_lo and z_hi must be finite with z_hi > z_lo")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)
     for line in alpha_lines(proc.alpha):
         if z_lo < line < z_hi:

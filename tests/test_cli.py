@@ -57,6 +57,12 @@ class TestRegionCommand:
                        "--theta2", "-2"])
         assert code == 2
 
+    def test_infinite_z_range_is_config_error(self):
+        code, out = run(["region", "--proc", "hommel", "--z-hi", "inf",
+                         "--grid", "16", "--out", "-"])
+        assert code == 2
+        assert out == ""
+
 
 class TestPowerCommand:
     def test_null_fwer_row_hommel(self):
@@ -100,6 +106,13 @@ class TestPowerCommand:
         assert code == 0
         assert "monte carlo" in out
         assert "se " in out
+
+    @pytest.mark.parametrize("bad", [["--reps", "5"], ["--seed", "-1"]])
+    def test_bad_mc_config_leaves_stdout_empty(self, bad):
+        code, out = run(["power", "--proc", "hommel", "--theta1", "-2",
+                         "--theta2", "-2", "--mc", *bad])
+        assert code == 2
+        assert out == ""
 
     def test_design_arm_calibration(self):
         code, out = run(["power", "--proc", "hommel", "--design-arm", "1200"])
@@ -146,8 +159,9 @@ class TestAllocateCommand:
         code, _ = run(["allocate", "--N", "600", "--grid", ""])
         assert code == 2
 
-    def test_bad_grid_value(self):
-        code, _ = run(["allocate", "--N", "600", "--grid", "0.25,zebra"])
+    @pytest.mark.parametrize("grid", ["0.25,zebra", "0.25,nan"])
+    def test_bad_grid_value(self, grid):
+        code, _ = run(["allocate", "--N", "600", "--grid", grid])
         assert code == 2
 
 
@@ -243,6 +257,12 @@ class TestSavingsCommand:
                        "--n-cap", "4801"])
         assert code == 4
 
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_nonpositive_n_is_config_error(self, n):
+        code, out = run(["savings", "--N", n])
+        assert code == 2
+        assert out == ""
+
 
 class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
@@ -311,16 +331,28 @@ class TestConfigHandling:
 
 
 class TestInstalledEntryPoint:
-    def test_console_script_deterministic(self):
+    @pytest.mark.parametrize("entry", ["console-script", "python-m"])
+    def test_console_script_deterministic(self, entry):
+        import os
         import shutil
         import subprocess
-        exe = shutil.which("omt2")
-        if exe is None:
-            pytest.skip("console script not installed")
-        argv = [exe, "power", "--proc", "hommel", "--theta1", "-2.0",
-                "--theta2", "-2.0"]
-        first = subprocess.run(argv, capture_output=True, timeout=120)
-        second = subprocess.run(argv, capture_output=True, timeout=120)
+        import sys
+        env = None
+        if entry == "python-m":
+            # the entry the benchmark's cli workload runs, importing the
+            # same omt2 as this test session
+            exe = [sys.executable, "-m", "omt2"]
+            src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        else:
+            exe = [shutil.which("omt2")]
+            if exe[0] is None:
+                pytest.skip("console script not installed")
+        argv = exe + ["power", "--proc", "hommel", "--theta1", "-2.0",
+                      "--theta2", "-2.0"]
+        first = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+        second = subprocess.run(argv, capture_output=True, timeout=120, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert b"pi_any" in first.stdout

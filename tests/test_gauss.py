@@ -25,6 +25,25 @@ def mp_quantile(u: float, dps: int = 50) -> float:
         return float((lo + hi) / 2)
 
 
+def mp_quantile_newton(u: float, start: float) -> float:
+    """The quantile of ``u`` rounded from 40 digits: Newton's method on
+    mpmath's normal CDF, iterated until the step drops below 1e-30.
+
+    The last step bounds the remaining error, so the start only sets the
+    number of iterations; a start that does not converge fails the test.
+    On the sample below this gives the same doubles as
+    ``sqrt(2) * erfinv(2u - 1)`` at 340 digits, in a fraction of the time.
+    """
+    with mp.workdps(40):
+        target, z = mp.mpf(float(u)), mp.mpf(float(start))
+        for _ in range(40):
+            step = (mp.ncdf(z) - target) / mp.npdf(z)
+            z -= step
+            if abs(step) <= mp.mpf(10) ** -30 * (1 + abs(z)):
+                return float(z)
+    raise AssertionError(f"Newton did not converge for u={u!r} from {start!r}")
+
+
 class TestStdNormalCdf:
     def test_symmetry_at_zero(self):
         assert std_normal_cdf(0.0) == 0.5
@@ -65,6 +84,16 @@ class TestStdNormalQuantile:
     def test_domain_errors(self, u):
         with pytest.raises(DomainError):
             std_normal_quantile(u)
+
+    def test_within_8_ulp_of_exact(self, rng):
+        u = np.concatenate([rng.uniform(size=1000),
+                            np.geomspace(1e-300, 0.49, 200),
+                            1.0 - np.geomspace(2.0**-53, 0.49, 100)])
+        got = std_normal_quantile(u)
+        exact = np.array([mp_quantile_newton(x, z) for x, z in zip(u, got)])
+        ulps = np.abs(got - exact) / np.spacing(np.abs(exact))
+        worst = int(np.argmax(ulps))
+        assert ulps[worst] <= 8, f"{ulps[worst]:.0f} ulp at u={u[worst]!r}"
 
     def test_round_trip(self, rng):
         """|Phi(quantile(u)) - u| <= 1e-10 across (1e-10, 1 - 1e-10)."""

@@ -19,6 +19,8 @@ class TestSpecValidation:
             ObjectiveSpec(0.5, 0.5, 0.5, MODEL, ALPHA)
         with pytest.raises(DomainError):
             ObjectiveSpec(-0.1, 0.6, 0.5, MODEL, ALPHA)
+        with pytest.raises(DomainError):
+            ObjectiveSpec(float("nan"), 0.5, 0.5, MODEL, ALPHA)
 
     def test_alpha_range(self):
         with pytest.raises(DomainError):

@@ -281,6 +281,9 @@ class TestAllocation:
             allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [], ALPHA, quad_cfg)
         with pytest.raises(DomainError):
             allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [1.5], ALPHA, quad_cfg)
+        with pytest.raises(DomainError):
+            allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [float("nan")], ALPHA,
+                              quad_cfg)
 
 
 class TestRequiredN:
@@ -297,6 +300,13 @@ class TestRequiredN:
         power = lambda n: 1.0 - math.exp(-n / 500.0)
         n = required_n_for_power(power, 0.8)
         assert power(n) >= 0.8 > power(n - 1)
+
+    @pytest.mark.parametrize("n_ref", [0, -4, 4800.0])
+    def test_savings_reference_size_validation(self, n_ref):
+        def theta_of_n(n):
+            raise AssertionError("called before n_reference was checked")
+        with pytest.raises(DomainError):
+            savings_report("pi_any", (1.0, 0.0, 0.0), n_ref, theta_of_n, ALPHA)
 
     def test_savings_consistency(self, quad_cfg):
         """The discrete search agrees with an independent continuous

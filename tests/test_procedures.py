@@ -359,3 +359,9 @@ class TestRegionExport:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             export_region(hommel(ALPHA), 8)
+
+    @pytest.mark.parametrize("z_lo,z_hi", [(-4.0, math.inf), (-math.inf, 0.0),
+                                           (math.nan, 0.0), (0.0, -1.0)])
+    def test_z_range_must_be_finite_and_ordered(self, z_lo, z_hi):
+        with pytest.raises(DomainError):
+            export_region(hommel(ALPHA), 16, z_lo, z_hi)
