@@ -12,8 +12,8 @@ from .errors import (ConfigError, DegenerateVariance, DomainError,
                      Unachievable, UnsupportedModel)
 from .gauss import (AlternativeModel, bivariate_null_density, lr_density,
                     std_normal_cdf, std_normal_quantile)
-from .numerics import (McConfig, QuadratureConfig, bisect, integrate_region,
-                       mc_estimate, normal_pairs)
+from .numerics import (McConfig, QuadratureConfig, bisect, mc_estimate,
+                       normal_pairs)
 from .objective import (ObjectiveSpec, coefficient, combo_any_one, pure_any,
                         pure_avg, pure_one, score, score_z)
 from .procedures import (Decision, Procedure, RegionGrid, bonferroni,

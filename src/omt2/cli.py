@@ -234,8 +234,11 @@ def _write_out(path: str, text: str, stream) -> None:
     if path == "-":
         stream.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -367,30 +370,26 @@ _APEX_DEFAULTS = {"alpha": 0.025, **_APEX_COUNTS, **_DEFAULT_RATES,
 def cmd_apex(cfg: dict, out_stream) -> int:
     qcfg = quad_config(cfg["quad_profile"])
     alpha = cfg["alpha"]
-    p_obs = []
-    for g in (1, 2):
-        ec, nc, et, nt = (cfg[f"{key}{g}"] for key in _COUNT_KEYS)
-        p = observed_pvalue(ec, nc, et, nt)
-        p_obs.append(p)
-        out_stream.write(f"group {g}: events/arm {ec}/{nc} vs {et}/{nt}"
-                         f"  one-sided p = {p:.4f}\n")
-
+    counts = [tuple(cfg[f"{key}{g}"] for key in _COUNT_KEYS) for g in (1, 2)]
+    p_obs = [observed_pvalue(*c) for c in counts]
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
     th_design = tuple(
         theta_from_design(TwoArmDesign(rc, rt, cfg[f"n_control{g}"],
                                        cfg[f"n_treat{g}"])) for g in (1, 2))
     th_marg = theta_from_marginal_power(cfg["beta"], alpha)
-    out_stream.write(f"calibrated shifts (design, rates {rc:g} vs {rt:g}): "
-                     f"theta = ({th_design[0]:.6g}, {th_design[1]:.6g})\n")
-    out_stream.write(f"calibrated shifts (marginal power {cfg['beta']:g}): "
-                     f"theta = ({th_marg:.6g}, {th_marg:.6g})\n")
-
     if _marginal_calibration(cfg["calibration"]):
         th1 = th2 = th_marg
     else:
         th1, th2 = th_design
-
     cols = _power_columns("all", alpha, th1, th2, qcfg)
+
+    for g, (ec, nc, et, nt), p in zip((1, 2), counts, p_obs):
+        out_stream.write(f"group {g}: events/arm {ec}/{nc} vs {et}/{nt}"
+                         f"  one-sided p = {p:.4f}\n")
+    out_stream.write(f"calibrated shifts (design, rates {rc:g} vs {rt:g}): "
+                     f"theta = ({th_design[0]:.6g}, {th_design[1]:.6g})\n")
+    out_stream.write(f"calibrated shifts (marginal power {cfg['beta']:g}): "
+                     f"theta = ({th_marg:.6g}, {th_marg:.6g})\n")
     out_stream.write(f"decisions at observed p = ({p_obs[0]:.4f}, {p_obs[1]:.4f}):\n")
     for name, proc in cols:
         d = proc.decide((p_obs[0], p_obs[1]))

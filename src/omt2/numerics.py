@@ -2,19 +2,15 @@
 
 Quadrature strategy
 -------------------
-All two-dimensional integrals over the p-value unit square are computed
-in z-space (``z_i = quantile(p_i)``), where every density of interest is
-a (possibly correlated) bivariate normal and the ``p = alpha`` lines map
-to vertical/horizontal panel boundaries.  Fixed Gauss-Legendre panels
-are aligned with those boundaries so that no panel straddles an
-indicator discontinuity; accuracy is certified by comparing against a
-panel-doubled evaluation.
-
-For the decision-region integrals there is a faster exact-inner-integral
-path, `procedures.region_mass`: every decision region encountered in
-this package has columns of the form ``{z2 <= cut(z1)}``, so the inner
-integral is a closed-form normal CDF and only the outer integral needs
-quadrature.
+Every region probability in this package is one integral,
+`procedures.region_mass`.  Integrals over the p-value unit square are
+taken in z-space (``z_i = quantile(p_i)``), where the density is a
+(possibly correlated) bivariate normal and the ``p = alpha`` lines map
+to vertical/horizontal boundaries.  Each decision region has columns of
+the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
+normal CDF and only the outer integral over z1 needs quadrature: fixed
+Gauss-Legendre panels (`panel_nodes`) split at the rule's breakpoints
+(`Procedure.z_breakpoints`).  The result carries no error estimate.
 
 Monte Carlo engine
 ------------------
@@ -38,15 +34,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
+# unused here; kept so that ``numerics.ndtr`` stays the shared scipy
+# kernel that the benchmark tracer rebinds and its tests assert
+from scipy.special import ndtr  # noqa: F401
 
-from .errors import DomainError, MaxIterations, NoBracket, ToleranceNotMet
+from .errors import DomainError, MaxIterations, NoBracket
 from .gauss import AlternativeModel, std_normal_quantile
 
 __all__ = [
     "QuadratureConfig",
     "McConfig",
-    "integrate_region",
     "bisect",
     "mc_estimate",
     "normal_pairs",
@@ -56,8 +53,6 @@ __all__ = [
 # normal weight; phi(9.5) ~ 3e-21 so the truncation error is far below
 # every tolerance used in the package.
 Z_RANGE = 9.5
-
-_MAX_DOUBLINGS = 2
 
 
 @dataclass(frozen=True)
@@ -120,65 +115,6 @@ def panel_nodes(lo: float, hi: float, breaks: Sequence[float],
         nodes.append((mid + half * xs).ravel())
         weights.append((half * ws).ravel())
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _z_density(z1: np.ndarray, z2: np.ndarray, model: AlternativeModel | None) -> np.ndarray:
-    """Joint density of the z-scores under ``model`` (None = global null)."""
-    if model is None:
-        t1 = t2 = rho = 0.0
-    else:
-        t1, t2, rho = model.theta1, model.theta2, model.rho
-    s2 = 1.0 - rho * rho
-    r1 = z1 - t1
-    r2 = z2 - t2
-    quad_form = (r1 * r1 - 2.0 * rho * r1 * r2 + r2 * r2) / s2
-    return np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(s2))
-
-
-def integrate_region(f: Callable, indicator: Callable,
-                     model: AlternativeModel | None,
-                     cfg: QuadratureConfig,
-                     extra_breaks: Sequence[float] = ()) -> float:
-    """Integrate ``indicator(p) * f(p)`` against the p-value density.
-
-    ``f`` and ``indicator`` receive two same-shaped arrays (p1, p2) and
-    must evaluate elementwise.  ``model=None`` integrates against the
-    independent uniform null.  Panels are aligned with the mapped
-    ``p = alpha`` discontinuity lines supplied via ``extra_breaks`` (in
-    p units); the result is certified by panel doubling and
-    ToleranceNotMet is raised if doubling up to a cap cannot certify
-    ``cfg.abs_tol``.
-    """
-    breaks_z = [std_normal_quantile(b) for b in extra_breaks if 0.0 < b < 1.0]
-
-    def attempt(panels: int) -> float:
-        if model is None:
-            m1 = m2 = 0.0
-        else:
-            m1, m2 = model.theta1, model.theta2
-        z1n, w1 = panel_nodes(m1 - Z_RANGE, m1 + Z_RANGE, breaks_z,
-                              panels, cfg.nodes_per_panel)
-        z2n, w2 = panel_nodes(m2 - Z_RANGE, m2 + Z_RANGE, breaks_z,
-                              panels, cfg.nodes_per_panel)
-        z1g, z2g = np.meshgrid(z1n, z2n, indexing="ij")
-        p1 = ndtr(z1g)
-        p2 = ndtr(z2g)
-        vals = np.asarray(indicator(p1, p2), dtype=float)
-        vals = vals * np.asarray(f(p1, p2), dtype=float)
-        vals = vals * _z_density(z1g, z2g, model)
-        return float(w1 @ vals @ w2)
-
-    panels = cfg.panels_per_axis
-    prev = attempt(panels)
-    for _ in range(_MAX_DOUBLINGS):
-        panels *= 2
-        cur = attempt(panels)
-        if abs(cur - prev) <= cfg.abs_tol:
-            return cur
-        prev = cur
-    raise ToleranceNotMet(
-        f"panel doubling up to {panels} panels/axis left residual "
-        f"{abs(cur - prev):.3g} > abs_tol={cfg.abs_tol:g}")
 
 
 def bisect(g: Callable[[float], float], lo: float, hi: float,
@@ -257,20 +193,25 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                model: AlternativeModel,
-                cfg: McConfig) -> tuple[float, float]:
+                model: AlternativeModel, cfg: McConfig
+                ) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo mean and standard error of ``event(z1, z2)``.
 
     Draws z1 = theta1 + Z1, z2 = theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 and
     evaluates the event (an indicator or bounded count) on the whole
-    sample.  Deterministic for fixed (seed, reps).
+    sample.  An event that returns a tuple of arrays gets a list with
+    one ``(mean, se)`` pair per array, all from the one draw and the
+    one evaluation.  Deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
     z1 = model.theta1 + zz1
     z2 = model.theta2 + model.rho * zz1 + math.sqrt(1.0 - model.rho**2) * zz2
-    vals = np.asarray(event(z1, z2), dtype=float)
-    if vals.shape != z1.shape:
-        raise DomainError("event must return one value per replication")
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(cfg.reps))
-    return mean, se
+    out = event(z1, z2)
+    pairs = []
+    for arr in out if isinstance(out, tuple) else (out,):
+        vals = np.asarray(arr, dtype=float)
+        if vals.shape != z1.shape:
+            raise DomainError("event must return one value per replication")
+        pairs.append((float(vals.mean()),
+                      float(vals.std(ddof=1) / math.sqrt(cfg.reps))))
+    return pairs if isinstance(out, tuple) else pairs[0]

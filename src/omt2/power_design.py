@@ -185,24 +185,15 @@ def mc_power(proc: Procedure, model: AlternativeModel,
     pi_1 combines two semi-null runs that share the underlying normal
     draws; its SE uses the triangle inequality, which is conservative.
     """
-    def ev_any(z1, z2):
+    def ev_alt(z1, z2):
         d1, d2 = proc.decide_z(z1, z2)
-        return d1 | d2
+        return d1 | d2, 0.5 * (d1.astype(float) + d2.astype(float))
 
-    def ev_avg(z1, z2):
-        d1, d2 = proc.decide_z(z1, z2)
-        return 0.5 * (d1.astype(float) + d2.astype(float))
-
-    def ev_d1(z1, z2):
-        return proc.decide_z(z1, z2)[0]
-
-    def ev_d2(z1, z2):
-        return proc.decide_z(z1, z2)[1]
-
-    pany, se_any = mc_estimate(ev_any, model, cfg)
-    pavg, se_avg = mc_estimate(ev_avg, model, cfg)
-    m1, se1 = mc_estimate(ev_d1, _semi_null(model, 1), cfg)
-    m2, se2 = mc_estimate(ev_d2, _semi_null(model, 2), cfg)
+    (pany, se_any), (pavg, se_avg) = mc_estimate(ev_alt, model, cfg)
+    m1, se1 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[0],
+                          _semi_null(model, 1), cfg)
+    m2, se2 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[1],
+                          _semi_null(model, 2), cfg)
     pi_1 = 0.5 * (m1 + m2)
     se_1 = 0.5 * (se1 + se2)
     return {

@@ -187,6 +187,28 @@ class TestApexCommand:
         assert code == 0
         assert "p = 0.5000" in out
 
+    @pytest.mark.parametrize("bad", [
+        ["--calibration", "bogus"], ["--beta", "1.5"], ["--rate-control", "0"],
+        ["--n-control2", "0"], ["--events-control2", "0"]])
+    def test_bad_input_leaves_stdout_empty(self, bad, capsys):
+        code, out = run(["apex", *bad])
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["region", "--grid", "16"],
+        ["allocate", "--N", "600", "--grid", "0.5"]])
+    def test_config_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, out = run([*argv, "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestPowerSingleOmt:
     def test_single_omt_column(self):

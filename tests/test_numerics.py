@@ -6,72 +6,14 @@ import numpy as np
 import pytest
 
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
-                  QuadratureConfig, ToleranceNotMet, bisect, integrate_region,
-                  mc_estimate, std_normal_cdf, std_normal_quantile)
+                  QuadratureConfig, bisect, hommel, mc_estimate,
+                  std_normal_cdf, std_normal_quantile)
 from omt2.numerics import MaxIterations, splitmix64, uniforms
 
 ALPHA = 0.025
-ONE = lambda p1, p2: np.ones_like(p1)
 
 
-def l_shape(p1, p2):
-    return np.minimum(p1, p2) <= ALPHA
-
-
-def hommel_region(p1, p2):
-    return (p1 <= ALPHA / 2) | (p2 <= ALPHA / 2) | (np.maximum(p1, p2) <= ALPHA)
-
-
-class TestIntegrateRegion:
-    def test_l_shape_area(self, quad_cfg):
-        val = integrate_region(ONE, l_shape, None, quad_cfg,
-                               extra_breaks=[ALPHA])
-        assert val == pytest.approx(2 * ALPHA - ALPHA**2, abs=1e-10)
-
-    def test_hommel_region_area_is_alpha(self, quad_cfg):
-        val = integrate_region(ONE, hommel_region, None, quad_cfg,
-                               extra_breaks=[ALPHA, ALPHA / 2])
-        assert val == pytest.approx(ALPHA, abs=1e-10)
-
-    def test_empty_region(self, quad_cfg):
-        val = integrate_region(ONE, lambda p1, p2: np.zeros_like(p1),
-                               None, quad_cfg)
-        assert val == 0.0
-
-    def test_alternative_density_mass(self, quad_cfg):
-        # whole square under any alternative integrates to 1
-        model = AlternativeModel(-2.0, -1.0, 0.3)
-        val = integrate_region(ONE, lambda p1, p2: np.ones_like(p1),
-                               model, quad_cfg)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_marginal_event_under_alternative(self, quad_cfg):
-        # P(p1 <= alpha) = Phi(quantile(alpha) - theta1)
-        model = AlternativeModel(-2.5, -1.0)
-        val = integrate_region(ONE, lambda p1, p2: p1 <= ALPHA, model,
-                               quad_cfg, extra_breaks=[ALPHA])
-        expected = std_normal_cdf(std_normal_quantile(ALPHA) + 2.5)
-        assert val == pytest.approx(expected, abs=1e-9)
-
-    def test_tolerance_not_met_for_curved_boundary(self):
-        # a disc indicator cannot be certified at an extreme tolerance
-        cfg = QuadratureConfig(panels_per_axis=8, nodes_per_panel=4,
-                               abs_tol=1e-15)
-        disc = lambda p1, p2: (p1 - 0.4) ** 2 + (p2 - 0.4) ** 2 <= 0.1
-        with pytest.raises(ToleranceNotMet):
-            integrate_region(ONE, disc, None, cfg)
-
-    def test_panel_doubling_stability(self, quad_cfg):
-        coarse = integrate_region(ONE, hommel_region, None, quad_cfg,
-                                  extra_breaks=[ALPHA, ALPHA / 2])
-        fine_cfg = QuadratureConfig(
-            panels_per_axis=2 * quad_cfg.panels_per_axis,
-            nodes_per_panel=quad_cfg.nodes_per_panel,
-            abs_tol=quad_cfg.abs_tol)
-        fine = integrate_region(ONE, hommel_region, None, fine_cfg,
-                                extra_breaks=[ALPHA, ALPHA / 2])
-        assert abs(coarse - fine) <= 2 * quad_cfg.abs_tol
-
+class TestQuadratureConfig:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(panels_per_axis=4)
@@ -163,6 +105,21 @@ class TestMcEstimate:
         assert first == second
         other = mc_estimate(ev, model, McConfig(reps=50_000, seed=4243))
         assert other != first
+
+    def test_tuple_event_matches_one_call_per_array(self):
+        # one draw and one evaluation, the same pairs bit for bit
+        cfg = McConfig(reps=50_000, seed=77)
+        model = AlternativeModel(-2.0, -2.5, 0.3)
+        rule = hommel(ALPHA)
+        both = mc_estimate(rule.decide_z, model, cfg)
+        assert both == [mc_estimate(lambda z1, z2: rule.decide_z(z1, z2)[k],
+                                    model, cfg) for k in (0, 1)]
+        assert all(type(v) is float for pair in both for v in pair)
+
+    def test_event_shape_checked_per_array(self):
+        with pytest.raises(DomainError):
+            mc_estimate(lambda z1, z2: (z1 <= 0.0, z2[:10] <= 0.0),
+                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
 
     def test_reps_floor(self):
         with pytest.raises(DomainError):

@@ -7,10 +7,12 @@ from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+import omt2.power_design
 from omt2 import (AlternativeModel, DegenerateVariance, DomainError,
-                  TwoArmDesign, Unachievable, allocation_search, bonferroni,
-                  build_bittman, build_omt, closed_stouffer, combo_any_one,
-                  evaluate_power, fixed_sequence, hommel,
+                  McConfig, Procedure, TwoArmDesign, Unachievable,
+                  allocation_search, bonferroni, build_bittman, build_omt,
+                  closed_stouffer, combo_any_one, evaluate_power,
+                  fixed_sequence, hommel,
                   mc_power, observed_pvalue, pure_any, pure_avg, pure_one,
                   required_n_for_power, savings_report, std_normal_cdf,
                   std_normal_quantile, theta_for_group, theta_from_design,
@@ -171,6 +173,24 @@ class TestEvaluatePower:
         for m in ("pi_avg", "pi_any", "pi_1", "pi_combo"):
             mean, se = est[m]
             assert abs(rep.get(m) - mean) <= 3 * se + 1e-12, m
+
+    def test_mc_power_decides_each_model_once(self, monkeypatch):
+        calls = {"decide_z": 0, "mc_estimate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Procedure, "decide_z",
+                            counted("decide_z", Procedure.decide_z))
+        monkeypatch.setattr(omt2.power_design, "mc_estimate",
+                            counted("mc_estimate", omt2.power_design.mc_estimate))
+        mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5),
+                 McConfig(reps=20_000, seed=5))
+        # one pass on the alternative, one per semi-null
+        assert calls == {"decide_z": 3, "mc_estimate": 3}
 
 
 class TestQuadratureMcAgreement:
