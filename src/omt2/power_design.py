@@ -157,6 +157,15 @@ def _semi_null(model: AlternativeModel, which: int) -> AlternativeModel:
     return AlternativeModel(0.0, model.theta2, model.rho)
 
 
+def _measures(pany: float, pavg: float, semi1: float, semi2: float) -> dict[str, float]:
+    """The four measures from pany = P(d1 or d2), pavg = (E d1 + E d2)/2
+    and semi_k = P(d_k) when only H_k is false.  The map is linear, so it
+    also carries Monte Carlo SEs (summed, a conservative bound)."""
+    pi_1 = 0.5 * (semi1 + semi2)
+    return {"pi_any": pany, "pi_avg": pavg, "pi_1": pi_1,
+            "pi_combo": pany / 3.0 + 2.0 * pi_1 / 3.0}
+
+
 def evaluate_power(proc: Procedure, model: AlternativeModel,
                    cfg: QuadratureConfig | None = None) -> PowerReport:
     """Deterministic quadrature evaluation of the four power measures."""
@@ -166,9 +175,7 @@ def evaluate_power(proc: Procedure, model: AlternativeModel,
     pany = region_mass(proc, "any", model, cfg)
     p1_semi = region_mass(proc, "d1", _semi_null(model, 1), cfg)
     p2_semi = region_mass(proc, "d2", _semi_null(model, 2), cfg)
-    pi_1 = 0.5 * (p1_semi + p2_semi)
-    return PowerReport(pi_avg=0.5 * (pd1 + pd2), pi_any=pany, pi_1=pi_1,
-                       pi_combo=pany / 3.0 + 2.0 * pi_1 / 3.0)
+    return PowerReport(**_measures(pany, 0.5 * (pd1 + pd2), p1_semi, p2_semi))
 
 
 def fwer_global(proc: Procedure, rho: float = 0.0,
@@ -194,14 +201,9 @@ def mc_power(proc: Procedure, model: AlternativeModel,
                           _semi_null(model, 1), cfg)
     m2, se2 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[1],
                           _semi_null(model, 2), cfg)
-    pi_1 = 0.5 * (m1 + m2)
-    se_1 = 0.5 * (se1 + se2)
-    return {
-        "pi_any": (pany, se_any),
-        "pi_avg": (pavg, se_avg),
-        "pi_1": (pi_1, se_1),
-        "pi_combo": (pany / 3.0 + 2.0 * pi_1 / 3.0, se_any / 3.0 + 2.0 * se_1 / 3.0),
-    }
+    means = _measures(pany, pavg, m1, m2)
+    ses = _measures(se_any, se_avg, se1, se2)
+    return {m: (means[m], ses[m]) for m in means}
 
 
 # ----------------------------------------------------------------------
@@ -218,10 +220,10 @@ class AllocationResult:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("r,pi_avg,pi_any,pi_1,pi_combo\n")
+        buf.write(",".join(("r",) + MEASURES) + "\n")
         for r, rep in zip(self.r_grid, self.reports):
-            buf.write(f"{r:g},{rep.pi_avg:.4f},{rep.pi_any:.4f},"
-                      f"{rep.pi_1:.4f},{rep.pi_combo:.4f}\n")
+            values = ",".join(f"{rep.get(m):.4f}" for m in MEASURES)
+            buf.write(f"{r:g},{values}\n")
         return buf.getvalue()
 
 
@@ -232,8 +234,7 @@ def _single_hypothesis_report(theta_funded: float, alpha: float) -> PowerReport:
     count as true discoveries.
     """
     beta = float(std_normal_cdf(alpha_lines(alpha)[0] - theta_funded))
-    return PowerReport(pi_avg=0.5 * beta, pi_any=beta, pi_1=0.5 * beta,
-                       pi_combo=beta / 3.0 + beta / 3.0)
+    return PowerReport(**_measures(beta, 0.5 * beta, beta, 0.0))
 
 
 def allocation_search(n_total: int, weights: tuple[float, float, float],

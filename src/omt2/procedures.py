@@ -1,14 +1,14 @@
 """Decision rules: five builtins plus the constructed optimal rule.
 
-Every procedure here shares one geometric fact that the evaluation code
-exploits: for each fixed z1, the set of z2 values where hypothesis k is
-rejected is a downward ray ``{z2 <= cut_k(z1)}`` (possibly empty or the
-whole line).  Probabilities of rejection events therefore reduce to a
-one-dimensional outer integral of ``pdf(z1) * cdf(cut(z1))`` with the
-inner integral done in closed form; `region_mass` below implements this
-for arbitrary bivariate-normal evaluation models, and
-`region_symmetric_difference` compares two procedures' decision maps
-under the null measure the same way.
+Every rule here has one form: reject H_k iff z_k <= level and (z1, z2)
+lies in a union region U = {z2 <= u(z1)}; the level is quantile(alpha/2)
+for bonferroni and quantile(alpha) otherwise.  So for each fixed z1 the
+set of z2 values where hypothesis k is rejected is a downward ray
+``{z2 <= cut_k(z1)}`` (possibly empty or the whole line), and rejection
+probabilities reduce to a one-dimensional outer integral of
+``pdf(z1) * cdf(cut(z1))`` with the inner integral in closed form;
+`region_mass` does this for bivariate-normal evaluation models, and
+`region_symmetric_difference` compares two decision maps the same way.
 
 Rules (p-space, one-sided, level alpha):
 
@@ -71,6 +71,10 @@ class Decision:
         return (self.d1, self.d2)
 
 
+_KINDS = ("bonferroni", "hommel", "closed_stouffer", "bittman",
+          "fixed_sequence", "omt")
+
+
 def _check_alpha(alpha: float) -> float:
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha!r}")
@@ -93,6 +97,11 @@ class Procedure:
     spec: ObjectiveSpec | None = field(default=None, repr=False)
     t_score: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown procedure kind {self.kind!r}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+
     # -- scalar decisions ------------------------------------------------
     def decide(self, p: tuple[float, float]) -> Decision:
         p1 = clamp_pvalue(p[0])
@@ -102,25 +111,42 @@ class Procedure:
         d1, d2 = self.decide_z(np.array([z1]), np.array([z2]))
         return Decision(bool(d1[0]), bool(d2[0]))
 
+    # -- rule geometry: each kind's marginal level and union region U -------
+    def _level(self) -> float:
+        za, zh = alpha_lines(self.alpha)
+        return zh if self.kind == "bonferroni" else za
+
+    def _in_union(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        """Pointwise membership of U (the Monte Carlo path)."""
+        za, zh = alpha_lines(self.alpha)
+        if self.kind == "bonferroni":
+            return np.minimum(z1, z2) <= zh
+        if self.kind == "hommel":
+            return (np.minimum(z1, z2) <= zh) | (np.maximum(z1, z2) <= za)
+        if self.kind in ("closed_stouffer", "bittman"):
+            return (z1 + z2) <= self.t_sum
+        if self.kind == "fixed_sequence":
+            return z1 <= za
+        return score_z(self.spec, z1, z2) > self.t_score
+
+    def _union_cut(self, z1: np.ndarray) -> np.ndarray:
+        """Column cut u of U = {z2 <= u(z1)}; `column_cuts` clips it at the level."""
+        za, zh = alpha_lines(self.alpha)
+        if self.kind == "bonferroni":
+            return np.where(z1 <= zh, np.inf, zh)
+        if self.kind == "hommel":
+            return np.where(z1 <= zh, np.inf, np.where(z1 <= za, za, zh))
+        if self.kind in ("closed_stouffer", "bittman"):
+            return self.t_sum - z1
+        if self.kind == "fixed_sequence":
+            return np.where(z1 <= za, np.inf, -np.inf)
+        return _omt_union_cut(self.spec, self.t_score, z1)
+
     # -- vectorized decisions on z-scores ---------------------------------
     def decide_z(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        za, zh = alpha_lines(self.alpha)
-        in1 = z1 <= za
-        in2 = z2 <= za
-        if self.kind == "bonferroni":
-            return z1 <= zh, z2 <= zh
-        if self.kind == "hommel":
-            both = in1 & in2
-            return (z1 <= zh) | both, (z2 <= zh) | both
-        if self.kind in ("closed_stouffer", "bittman"):
-            low = (z1 + z2) <= self.t_sum
-            return in1 & low, in2 & low
-        if self.kind == "fixed_sequence":
-            return in1, in1 & in2
-        if self.kind == "omt":
-            keep = score_z(self.spec, z1, z2) > self.t_score
-            return in1 & keep, in2 & keep
-        raise DomainError(f"unknown procedure kind {self.kind!r}")
+        level = self._level()
+        union = self._in_union(z1, z2)
+        return (z1 <= level) & union, (z2 <= level) & union
 
     # -- column geometry ---------------------------------------------------
     def column_cuts(self, z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,30 +156,9 @@ class Procedure:
         z2, -inf a column where it is never rejected.
         """
         z1 = np.asarray(z1, dtype=float)
-        za, zh = alpha_lines(self.alpha)
-        inf = np.inf
-        if self.kind == "bonferroni":
-            c1 = np.where(z1 <= zh, inf, -inf)
-            c2 = np.full_like(z1, zh)
-            return c1, c2
-        if self.kind == "hommel":
-            c1 = np.where(z1 <= zh, inf, np.where(z1 <= za, za, -inf))
-            c2 = np.where(z1 <= za, za, zh)
-            return c1, c2
-        if self.kind in ("closed_stouffer", "bittman"):
-            c1 = np.where(z1 <= za, self.t_sum - z1, -inf)
-            c2 = np.minimum(za, self.t_sum - z1)
-            return c1, c2
-        if self.kind == "fixed_sequence":
-            c1 = np.where(z1 <= za, inf, -inf)
-            c2 = np.where(z1 <= za, za, -inf)
-            return c1, c2
-        if self.kind == "omt":
-            cut = _omt_union_cut(self.spec, self.t_score, z1)
-            c1 = np.where(z1 <= za, cut, -inf)
-            c2 = np.minimum(cut, za)
-            return c1, c2
-        raise DomainError(f"unknown procedure kind {self.kind!r}")
+        level = self._level()
+        u = self._union_cut(z1)
+        return np.where(z1 <= level, u, -np.inf), np.minimum(u, level)
 
     def z_breakpoints(self) -> list[float]:
         """z1 values where the column cuts kink or jump (panel splits)."""
@@ -176,11 +181,11 @@ class Procedure:
 
 
 def bonferroni(alpha: float) -> Procedure:
-    return Procedure("bonferroni", _check_alpha(alpha))
+    return Procedure("bonferroni", alpha)
 
 
 def hommel(alpha: float) -> Procedure:
-    return Procedure("hommel", _check_alpha(alpha))
+    return Procedure("hommel", alpha)
 
 
 def closed_stouffer(alpha: float) -> Procedure:
@@ -190,7 +195,7 @@ def closed_stouffer(alpha: float) -> Procedure:
 
 
 def fixed_sequence(alpha: float) -> Procedure:
-    return Procedure("fixed_sequence", _check_alpha(alpha))
+    return Procedure("fixed_sequence", alpha)
 
 
 def hommel_coincidence_bound(alpha: float) -> float:
@@ -206,8 +211,11 @@ def hommel_coincidence_bound(alpha: float) -> float:
 # Ray-mass evaluation
 # ----------------------------------------------------------------------
 
-def _finite_mass(mass: float, *procs: Procedure) -> float:
-    """Pass a finite mass through; a NaN cut or threshold raises."""
+def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
+                column_mass: np.ndarray, *procs: Procedure) -> float:
+    """N(m1, 1)-weighted panel sum over z1; a NaN cut or threshold raises."""
+    pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
+    mass = float(np.sum(w * pdf1 * column_mass))
     if not math.isfinite(mass):
         raise ToleranceNotMet(
             f"non-finite mass {mass} for {', '.join(p.describe() for p in procs)}")
@@ -219,11 +227,13 @@ def region_mass(proc: Procedure, which: str,
                 cfg: QuadratureConfig) -> float:
     """Probability of a rejection event under an evaluation model.
 
-    which: "d1", "d2", "any" (union), or "both".  model=None means the
-    global null.  The inner z2 integral is the exact conditional normal
-    CDF at the column cut; the outer integral uses Gauss-Legendre panels
-    split at the procedure's breakpoints.
+    which: "d1", "d2" or "any" (union).  model=None means the global
+    null.  The inner z2 integral is the exact conditional normal CDF at
+    the column cut; the outer integral uses Gauss-Legendre panels split
+    at the procedure's breakpoints.
     """
+    if which not in ("d1", "d2", "any"):
+        raise DomainError(f"which must be d1/d2/any, got {which!r}")
     if model is None:
         model = AlternativeModel(0.0, 0.0, 0.0)
     m1, m2, rho = model.theta1, model.theta2, model.rho
@@ -235,21 +245,11 @@ def region_mass(proc: Procedure, which: str,
     z1, w = panel_nodes(lo, hi, proc.z_breakpoints(),
                         cfg.panels_per_axis, cfg.nodes_per_panel)
     c1, c2 = proc.column_cuts(z1)
-    if which == "d1":
-        cut = c1
-    elif which == "d2":
-        cut = c2
-    elif which == "any":
-        cut = np.maximum(c1, c2)
-    elif which == "both":
-        cut = np.minimum(c1, c2)
-    else:
-        raise DomainError(f"which must be d1/d2/any/both, got {which!r}")
+    cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
     # no special case; a NaN cut surfaces as a non-finite mass
     inner = ndtr((cut - (m2 + rho * (z1 - m1))) / s_cond)
-    pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
-    return _finite_mass(float(np.sum(w * pdf1 * inner)), proc)
+    return _outer_mass(z1, w, m1, inner, proc)
 
 
 def region_symmetric_difference(pa: Procedure, pb: Procedure,
@@ -274,8 +274,7 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
     olo = np.maximum(lo1, lo2)
     ohi = np.minimum(hi1, hi2)
     mass = mass - np.where(ohi > olo, ndtr(ohi) - ndtr(olo), 0.0)
-    pdf1 = np.exp(-0.5 * z1 * z1) / math.sqrt(2.0 * math.pi)
-    return _finite_mass(float(np.sum(w * pdf1 * mass)), pa, pb)
+    return _outer_mass(z1, w, 0.0, mass, pa, pb)
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +318,7 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     e2 = exp(theta2*z2 - theta2^2/2) on each piece (square / flank), so
     cuts are closed-form.  The score drops at z2 = za when the second
     indicator switches off, making the superlevel set a single ray.
+    Columns z1 > za are clipped at z2 = za by `Procedure.column_cuts`.
     """
     w_any, w_avg, w_one = spec.weights
     t1, t2 = spec.model.theta1, spec.model.theta2
@@ -351,9 +351,7 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     # columns z1 > za: score = e2 * ((w_any + w_avg/2)*e1 + w_one/2)
     k1_r2 = (w_any + 0.5 * w_avg) * e1 + 0.5 * w_one
     with np.errstate(divide="ignore", invalid="ignore"):
-        cut_r2 = z_of_e2(t / k1_r2)
-    cut_high = np.where(t >= k1_r2 * ea2, cut_r2, za)
-
+        cut_high = z_of_e2(t / k1_r2)
     return np.where(z1 <= za, cut_low, cut_high)
 
 

@@ -263,9 +263,10 @@ class TestStructuralRestrictions:
 
 
 class TestRuleDefinitionsAgree:
-    """Each rule is defined twice: pointwise by `decide_z` (the Monte
-    Carlo path) and per column by `column_cuts` (the quadrature path).
-    The two must give the same decisions wherever they are asked."""
+    """Each rule's union region is defined twice: pointwise for
+    `decide_z` (the Monte Carlo path) and per column for `column_cuts`
+    (the quadrature path).  The two must give the same decisions
+    wherever they are asked."""
 
     MODEL = AlternativeModel(-2.2, -2.9)
     WEIGHTS = {"any": (1.0, 0.0, 0.0), "avg": (0.0, 1.0, 0.0),
@@ -303,6 +304,15 @@ class TestRayMassGuards:
             region_mass(proc, "any", None, quad_cfg)
         with pytest.raises(ToleranceNotMet):
             region_symmetric_difference(proc, hommel(ALPHA), quad_cfg)
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: region_mass(Procedure("hommel", 0.7), "any", None, cfg),
+        lambda cfg: Procedure("bogus", ALPHA).z_breakpoints(),
+        lambda cfg: region_mass(hommel(ALPHA), "both", None, cfg),
+    ], ids=["alpha_above_half", "unknown_kind", "both_event"])
+    def test_bad_rule_or_event_is_domain_error(self, call, quad_cfg):
+        with pytest.raises(DomainError):
+            call(quad_cfg)
 
 
 class TestRegionExport:
