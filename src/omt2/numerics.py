@@ -118,7 +118,7 @@ def panel_nodes(lo: float, hi: float, breaks: Sequence[float],
 
 
 def bisect(g: Callable[[float], float], lo: float, hi: float,
-           tol: float, max_iter: int = 200) -> float:
+           tol: float) -> float:
     """Root of a monotone function by bisection.
 
     Returns t with ``|g(t)| <= tol``.  Raises NoBracket if g(lo) and
@@ -136,7 +136,7 @@ def bisect(g: Callable[[float], float], lo: float, hi: float,
         return hi
     if math.copysign(1.0, glo) == math.copysign(1.0, ghi):
         raise NoBracket(f"g({lo})={glo:.3g} and g({hi})={ghi:.3g} have the same sign")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if abs(gm) <= tol:

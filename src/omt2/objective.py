@@ -26,6 +26,14 @@ into the one-small-p-value flanks, reproducing the recalibrated z-sum
 rule exactly).  Scores are supported on the L-shaped domain
 ``min(p1, p2) <= alpha`` and vanish outside it.
 
+In z-space, with e_i = exp(theta_i*z_i - theta_i^2/2), the score on each
+piece of the L-shaped domain is s = c_g*e1*e2 + c_1*e1 + c_2*e2, with
+(c_g, c_1, c_2) from `score_pieces`; the omt cuts and kinks use them:
+
+    square   (z1, z2 <= za):  (w_any + w_avg,   w_one/2, w_one/2)
+    z1 flank (z1 <= za < z2): (w_any + w_avg/2, w_one/2, 0)
+    z2 flank (z2 <= za < z1): (w_any + w_avg/2, 0,       w_one/2)
+
 Scores are only defined for independent p-values (rho = 0); requesting
 one for a correlated model raises UnsupportedModel.
 """
@@ -40,7 +48,7 @@ from .errors import DomainError, UnsupportedModel
 from .gauss import AlternativeModel, alpha_lines, std_normal_quantile
 
 __all__ = ["ObjectiveSpec", "pure_any", "pure_avg", "pure_one", "combo_any_one",
-           "coefficient", "score", "score_z"]
+           "coefficient", "score", "score_z", "score_pieces"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -90,10 +98,9 @@ def pure_one(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
     return ObjectiveSpec(0.0, 0.0, 1.0, model, alpha)
 
 
-def combo_any_one(model: AlternativeModel, alpha: float,
-                  w_any: float = 1.0 / 3.0) -> ObjectiveSpec:
-    """w_any * Pi_any + (1 - w_any) * Pi_1."""
-    return ObjectiveSpec(w_any, 0.0, 1.0 - w_any, model, alpha)
+def combo_any_one(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
+    """Pi_any/3 + 2*Pi_1/3."""
+    return ObjectiveSpec(1.0 / 3.0, 0.0, 2.0 / 3.0, model, alpha)
 
 
 def _check_p(p1, p2) -> None:
@@ -150,6 +157,14 @@ def score_z(spec: ObjectiveSpec, z1, z2):
     s = s + in1 * (spec.w_avg * g / 2.0 + spec.w_one * e1 / 2.0)
     s = s + in2 * (spec.w_avg * g / 2.0 + spec.w_one * e2 / 2.0)
     return s
+
+
+def score_pieces(spec: ObjectiveSpec) -> tuple[tuple[float, float, float], ...]:
+    """Coefficients (c_g, c_1, c_2) of the square, z1 flank and z2 flank."""
+    w_any, w_avg, w_one = spec.weights
+    return ((w_any + w_avg, w_one / 2.0, w_one / 2.0),
+            (w_any + w_avg / 2.0, w_one / 2.0, 0.0),
+            (w_any + w_avg / 2.0, 0.0, w_one / 2.0))
 
 
 def score(spec: ObjectiveSpec, p: tuple[float, float]) -> float:

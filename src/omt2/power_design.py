@@ -318,9 +318,8 @@ class SavingsReport:
 def savings_report(measure: str, weights: tuple[float, float, float],
                    n_reference: int, theta_of_n: Callable[[int], float],
                    alpha: float, cfg: QuadratureConfig | None = None,
-                   baseline: Procedure | None = None,
                    n_cap: int = 200_000) -> SavingsReport:
-    """Sample-size saving of the optimal rule over a baseline (hommel).
+    """Sample-size saving of the optimal rule over hommel, the baseline.
 
     Computes the optimal rule's power for ``measure`` at the reference
     size, finds the smallest N at which the baseline matches it under
@@ -330,7 +329,7 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     if not (isinstance(n_reference, int) and n_reference >= 1):
         raise DomainError(f"n_reference must be a positive integer, got {n_reference!r}")
     cfg = cfg or QuadratureConfig()
-    baseline = baseline or hommel(alpha)
+    baseline = hommel(alpha)
     th_ref = theta_of_n(n_reference)
     spec = ObjectiveSpec(*weights, AlternativeModel(th_ref, th_ref, 0.0), alpha)
     opt = build_omt(spec, cfg)

@@ -42,7 +42,7 @@ from .errors import DomainError, ToleranceNotMet
 from .gauss import (AlternativeModel, alpha_lines, clamp_pvalue,
                     std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, panel_nodes
-from .objective import ObjectiveSpec, score_z
+from .objective import ObjectiveSpec, score_pieces, score_z
 
 __all__ = [
     "Decision", "Procedure", "bonferroni", "hommel", "closed_stouffer",
@@ -59,20 +59,13 @@ class Decision:
     d1: bool
     d2: bool
 
-    @property
-    def any(self) -> bool:
-        return self.d1 or self.d2
-
-    @property
-    def both(self) -> bool:
-        return self.d1 and self.d2
-
     def as_tuple(self) -> tuple[bool, bool]:
         return (self.d1, self.d2)
 
 
-_KINDS = ("bonferroni", "hommel", "closed_stouffer", "bittman",
-          "fixed_sequence", "omt")
+# each kind with the optional fields it requires (it takes no others)
+_KINDS = {"bonferroni": (), "hommel": (), "closed_stouffer": ("t_sum",),
+          "bittman": ("t_sum",), "fixed_sequence": (), "omt": ("spec", "t_score")}
 
 
 def _check_alpha(alpha: float) -> float:
@@ -101,6 +94,14 @@ class Procedure:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown procedure kind {self.kind!r}")
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        given = tuple(f for f in ("t_sum", "spec", "t_score")
+                      if getattr(self, f) is not None)
+        if given != _KINDS[self.kind]:
+            raise DomainError(f"{self.kind} takes fields {_KINDS[self.kind]}, "
+                              f"got {given}")
+        if self.spec is not None and self.spec.alpha != self.alpha:
+            raise DomainError(f"omt alpha {self.alpha!r} differs from its "
+                              f"objective's alpha {self.spec.alpha!r}")
 
     # -- scalar decisions ------------------------------------------------
     def decide(self, p: tuple[float, float]) -> Decision:
@@ -166,7 +167,7 @@ class Procedure:
         if self.kind in ("closed_stouffer", "bittman"):
             return [za, self.t_sum - za]
         if self.kind == "omt":
-            return [za, *(k for k in _omt_kinks(self.spec, self.t_score))]
+            return [za, *_omt_kinks(self.spec, self.t_score)]
         return [za, zh]
 
     def describe(self) -> str:
@@ -314,70 +315,43 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
 def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     """Column cut of {s > t} within the L-shaped domain.
 
-    The score restricted to a column is affine in
-    e2 = exp(theta2*z2 - theta2^2/2) on each piece (square / flank), so
-    cuts are closed-form.  The score drops at z2 = za when the second
-    indicator switches off, making the superlevel set a single ray.
-    Columns z1 > za are clipped at z2 = za by `Procedure.column_cuts`.
+    Along a column each piece's score (see `objective`) is affine in
+    e2, so its crossing is closed-form.  For z1 <= za the score drops
+    at z2 = za, where the square gives way to the z1 flank, so the
+    superlevel set is a single ray; columns z1 > za see only the z2
+    flank and are clipped at z2 = za by `Procedure.column_cuts`.
     """
-    w_any, w_avg, w_one = spec.weights
     t1, t2 = spec.model.theta1, spec.model.theta2
     za = alpha_lines(spec.alpha)[0]
     e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
-
-    def z_of_e2(e2):
-        # invert e2 = exp(t2*z - t2^2/2); e2 <= 0 encodes "no crossing"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
-
-    # column pieces for z1 <= za
-    k1_sq = (w_any + w_avg) * e1 + 0.5 * w_one
-    k0 = 0.5 * w_one * e1
-    k1_fl = (w_any + 0.5 * w_avg) * e1
-    s_sq_corner = k1_sq * ea2 + k0        # score as z2 -> za- (square side)
-    s_fl_top = k1_fl * ea2 + k0           # score as z2 -> za+ (flank side)
-    s_fl_bot = k0                          # score as z2 -> +inf
-
+    pieces = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        cut_sq = z_of_e2((t - k0) / k1_sq)
-        cut_fl = np.where(k1_fl > 0,
-                          z_of_e2((t - k0) / np.where(k1_fl > 0, k1_fl, 1.0)),
-                          np.inf)
-    cut_low = np.where(t >= s_sq_corner, cut_sq,
-                       np.where(t >= s_fl_top, za,
-                                np.where(t > s_fl_bot, cut_fl, np.inf)))
-
-    # columns z1 > za: score = e2 * ((w_any + w_avg/2)*e1 + w_one/2)
-    k1_r2 = (w_any + 0.5 * w_avg) * e1 + 0.5 * w_one
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut_high = z_of_e2(t / k1_r2)
-    return np.where(z1 <= za, cut_low, cut_high)
+        for c_g, c_1, c_2 in score_pieces(spec):
+            slope, base = c_g * e1 + c_2, c_1 * e1   # s = slope*e2 + base
+            e2 = (t - base) / slope                   # e2 <= 0: no crossing
+            cut = (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
+            pieces.append((cut, slope * ea2 + base, base))
+    (cut_sq, top_sq, _), (cut_f1, top_f1, bottom_f1), (cut_f2, _, _) = pieces
+    # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
+    cut_low = np.where(t >= top_sq, cut_sq,
+                       np.where(t >= top_f1, za,
+                                np.where(t > bottom_f1, cut_f1, np.inf)))
+    return np.where(z1 <= za, cut_low, cut_f2)
 
 
 def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
-    """z1 locations where the union cut changes branch (all closed-form)."""
-    w_any, w_avg, w_one = spec.weights
+    """z1 values where the union cut changes branch: per piece of `objective`,
+    where its score at z2 = za equals t; and the z1 flank's z2 -> +inf
+    limit c_1*e1 = t, the singular column where the flank cut diverges."""
     t1, t2 = spec.model.theta1, spec.model.theta2
     za = alpha_lines(spec.alpha)[0]
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
-    kinks = []
-
-    def z_of_e1(e1):
-        if e1 is None or e1 <= 0 or not math.isfinite(e1):
-            return None
-        return (math.log(e1) + 0.5 * t1 * t1) / t1
-
-    den = (w_any + w_avg) * ea2 + 0.5 * w_one
-    kinks.append(z_of_e1((t - 0.5 * w_one * ea2) / den) if den > 0 else None)
-    den = (w_any + 0.5 * w_avg) * ea2 + 0.5 * w_one
-    kinks.append(z_of_e1(t / den) if den > 0 else None)
-    if w_one > 0:
-        kinks.append(z_of_e1(2.0 * t / w_one))
-    den = (w_any + 0.5 * w_avg) * ea2
-    if den > 0 and t - 0.5 * w_one * ea2 > 0:
-        kinks.append(z_of_e1((t - 0.5 * w_one * ea2) / den))
-    return [k for k in kinks if k is not None]
+    pieces = score_pieces(spec)
+    roots = [(t - c_2 * ea2, c_g * ea2 + c_1) for c_g, c_1, c_2 in pieces]
+    roots.append((t, pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
+    e1s = [num / den for num, den in roots if den > 0]
+    return [(math.log(e1) + 0.5 * t1 * t1) / t1 for e1 in e1s if 0.0 < e1 < math.inf]
 
 
 def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Procedure:

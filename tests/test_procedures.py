@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from omt2 import (AlternativeModel, DomainError, ObjectiveSpec, Procedure,
                   ToleranceNotMet, UnsupportedModel, bonferroni, build_bittman,
@@ -11,11 +12,13 @@ from omt2 import (AlternativeModel, DomainError, ObjectiveSpec, Procedure,
                   fixed_sequence, fwer_global, hommel,
                   hommel_coincidence_bound, mc_estimate, normal_pairs,
                   pure_any, pure_avg, pure_one, region_mass,
-                  region_symmetric_difference, std_normal_quantile)
+                  region_symmetric_difference, score_pieces, score_z,
+                  std_normal_quantile)
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
 ZH = std_normal_quantile(ALPHA / 2)
+SPEC_ONE = pure_one(AlternativeModel(-2.0, -2.0), ALPHA)
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +300,59 @@ class TestRuleDefinitionsAgree:
         assert mismatches == {}
 
 
+class TestScorePieces:
+    """The per-piece coefficient table, from which the omt column cut and
+    kinks are derived, against the independent pointwise `score_z`."""
+
+    WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+               (1.0 / 3.0, 0.0, 2.0 / 3.0), (0.2, 0.3, 0.5)]
+    THETAS = [(-2.0, -2.0), (-2.5, -3.0), (-3.0, -3.0), (-5.0, -3.5)]
+
+    def specs(self, alpha):
+        return [ObjectiveSpec(*w, AlternativeModel(*th), alpha)
+                for w in self.WEIGHTS for th in self.THETAS]
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+    def test_table_matches_score_z(self, alpha, rng):
+        za = std_normal_quantile(alpha)
+        below = lambda: za - rng.uniform(0.0, 6.0, 500)
+        above = lambda: za + rng.uniform(0.01, 6.0, 500)
+        for spec in self.specs(alpha):
+            t1, t2 = spec.model.thetas
+            for (c_g, c_1, c_2), (z1, z2) in zip(
+                    score_pieces(spec),
+                    [(below(), below()), (below(), above()), (above(), below())]):
+                e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
+                e2 = np.exp(t2 * z2 - 0.5 * t2 * t2)
+                np.testing.assert_allclose(c_g * e1 * e2 + c_1 * e1 + c_2 * e2,
+                                           score_z(spec, z1, z2), rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+    def test_branch_switches_are_breakpoints(self, alpha, quad_cfg):
+        """Where the score on z2 = za (either side) or z2 = 40 (the z1
+        flank's z2 -> +inf limit) crosses t, the cut switches branch;
+        each such z1 must be a panel split.  Formula roots outside their
+        piece (harmless extra splits) are not required to be crossings."""
+        za = std_normal_quantile(alpha)
+        za_up = np.nextafter(za, np.inf)
+        lines = [(za - 12.0, za, za), (za - 12.0, za, za_up),
+                 (za - 12.0, za, 40.0), (za_up, za + 12.0, za)]
+        misses = []
+        for spec in self.specs(alpha):
+            proc = build_omt(spec, quad_cfg)
+            breaks = np.array(proc.z_breakpoints())
+            for lo, hi, z2 in lines:
+                gap = lambda z1: score_z(spec, z1, np.full_like(z1, z2)) - proc.t_score
+                grid = np.linspace(lo, hi, 4001)
+                sign = np.sign(gap(grid))
+                for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+                    root = brentq(lambda z: float(gap(np.array([z]))[0]),
+                                  grid[k], grid[k + 1], xtol=1e-15)
+                    if np.min(np.abs(breaks - root)) > 1e-12:
+                        misses.append((spec.weights, spec.model.thetas, z2, root))
+        assert misses == []
+
+
 class TestRayMassGuards:
     def test_nan_threshold_is_not_read_as_zero(self, quad_cfg):
         proc = Procedure("closed_stouffer", ALPHA, t_sum=math.nan)
@@ -309,7 +365,14 @@ class TestRayMassGuards:
         lambda cfg: region_mass(Procedure("hommel", 0.7), "any", None, cfg),
         lambda cfg: Procedure("bogus", ALPHA).z_breakpoints(),
         lambda cfg: region_mass(hommel(ALPHA), "both", None, cfg),
-    ], ids=["alpha_above_half", "unknown_kind", "both_event"])
+        lambda cfg: Procedure("closed_stouffer", ALPHA),
+        lambda cfg: Procedure("omt", ALPHA),
+        lambda cfg: Procedure("omt", ALPHA, spec=SPEC_ONE),
+        lambda cfg: Procedure("hommel", ALPHA, t_sum=3.0),
+        lambda cfg: Procedure("omt", 0.05, spec=SPEC_ONE, t_score=1.0),
+    ], ids=["alpha_above_half", "unknown_kind", "both_event", "sum_without_t_sum",
+            "omt_without_spec", "omt_without_t_score", "t_sum_on_hommel",
+            "omt_alpha_differs_from_spec"])
     def test_bad_rule_or_event_is_domain_error(self, call, quad_cfg):
         with pytest.raises(DomainError):
             call(quad_cfg)
