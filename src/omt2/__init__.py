@@ -14,8 +14,8 @@ from .gauss import (AlternativeModel, bivariate_null_density, lr_density,
                     std_normal_cdf, std_normal_quantile)
 from .numerics import (McConfig, QuadratureConfig, bisect, mc_estimate,
                        normal_pairs)
-from .objective import (ObjectiveSpec, coefficient, combo_any_one, pure_any,
-                        pure_avg, pure_one, score, score_pieces, score_z)
+from .objective import (ObjectiveSpec, combo_any_one, pure_any, pure_avg,
+                        pure_one, score, score_pieces, score_z)
 from .procedures import (Decision, Procedure, RegionGrid, bonferroni,
                          build_bittman, build_omt, closed_stouffer,
                          export_region, fixed_sequence, hommel,

@@ -10,7 +10,10 @@ to vertical/horizontal boundaries.  Each decision region has columns of
 the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
 normal CDF and only the outer integral over z1 needs quadrature: fixed
 Gauss-Legendre panels (`panel_nodes`) split at the rule's breakpoints
-(`Procedure.z_breakpoints`).  The result carries no error estimate.
+(`Procedure.z_breakpoints`).  The nodes, weights and column cuts are
+built once per (rule, z1 range, config) and reused by every event and
+model with that range (`procedures._column_plan`).  The result carries
+no error estimate.
 
 Monte Carlo engine
 ------------------
@@ -104,17 +107,22 @@ def panel_nodes(lo: float, hi: float, breaks: Sequence[float],
     if not hi > lo:
         raise DomainError(f"empty integration range [{lo}, {hi}]")
     xs, ws = leggauss(order)
-    cuts = sorted({lo, hi, *(float(b) for b in breaks if lo < float(b) < hi)})
-    max_h = (hi - lo) / panels
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / max_h)))
-        edges = np.linspace(a, b, n_sub + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        nodes.append((mid + half * xs).ravel())
-        weights.append((half * ws).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    cuts = np.array(sorted({lo, hi, *(float(b) for b in breaks if lo < float(b) < hi)}))
+    a, b = cuts[:-1], cuts[1:]
+    n_sub = np.maximum(1, np.ceil((b - a) / ((hi - lo) / panels))).astype(np.intp)
+    # one row per panel: panel k of its segment spans edges k and k+1, each
+    # as np.linspace(a, b, n_sub + 1) computes it: k*step + a, the last
+    # edge b itself (its other path, for a step that underflows to 0,
+    # needs a subnormal range)
+    seg = np.repeat(np.arange(len(a)), n_sub)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    a, b, n_sub = a[seg], b[seg], n_sub[seg]
+    step = (b - a) / n_sub
+    left = k * step + a
+    right = np.where(k + 1 == n_sub, b, (k + 1) * step + a)
+    mid = 0.5 * (left + right)[:, None]
+    half = 0.5 * (right - left)[:, None]
+    return (mid + half * xs).ravel(), (half * ws).ravel()
 
 
 def bisect(g: Callable[[float], float], lo: float, hi: float,

@@ -48,7 +48,7 @@ from .errors import DomainError, UnsupportedModel
 from .gauss import AlternativeModel, alpha_lines, std_normal_quantile
 
 __all__ = ["ObjectiveSpec", "pure_any", "pure_avg", "pure_one", "combo_any_one",
-           "coefficient", "score", "score_z", "score_pieces"]
+           "score", "score_z", "score_pieces"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -120,22 +120,6 @@ def _require_independent(spec: ObjectiveSpec) -> None:
     if spec.model.rho != 0.0:
         raise UnsupportedModel(
             "scores are defined for independent p-values only (rho = 0)")
-
-
-def coefficient(spec: ObjectiveSpec, which: str, p: tuple[float, float]) -> float:
-    """Weighted coefficient a1, a2, or a3 of the objective at p."""
-    _require_independent(spec)
-    if which not in ("a1", "a2", "a3"):
-        raise DomainError(f"which must be one of a1/a2/a3, got {which!r}")
-    p1, p2 = p
-    _check_p(p1, p2)
-    z1, z2 = std_normal_quantile(p1), std_normal_quantile(p2)
-    e1, e2 = _lr_pair_z(spec, z1, z2)
-    if which == "a1":
-        return float(spec.w_avg * e1 * e2 / 2.0 + spec.w_one * e1 / 2.0)
-    if which == "a2":
-        return float(spec.w_avg * e1 * e2 / 2.0 + spec.w_one * e2 / 2.0)
-    return float(spec.w_any * e1 * e2)
 
 
 def score_z(spec: ObjectiveSpec, z1, z2):

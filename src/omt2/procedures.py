@@ -31,6 +31,7 @@ is smooth and strictly monotone in log(t) on the relevant range.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -223,6 +224,24 @@ def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
     return mass
 
 
+@functools.lru_cache(maxsize=16)
+def _column_plan(proc: Procedure, lo: float, hi: float, cfg: QuadratureConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Panel nodes z1 and weights w on [lo, hi], split at the rule's
+    breakpoints, with both column cuts (c1, c2) at the nodes.
+
+    The plan depends on the rule and the range, not on the evaluation
+    model, so the events of `region_mass` share it whenever their models
+    give the same range.  The arrays are read-only because they are shared.
+    """
+    z1, w = panel_nodes(lo, hi, proc.z_breakpoints(),
+                        cfg.panels_per_axis, cfg.nodes_per_panel)
+    plan = (z1, w, *proc.column_cuts(z1))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def region_mass(proc: Procedure, which: str,
                 model: AlternativeModel | None,
                 cfg: QuadratureConfig) -> float:
@@ -231,7 +250,10 @@ def region_mass(proc: Procedure, which: str,
     which: "d1", "d2" or "any" (union).  model=None means the global
     null.  The inner z2 integral is the exact conditional normal CDF at
     the column cut; the outer integral uses Gauss-Legendre panels split
-    at the procedure's breakpoints.
+    at the procedure's breakpoints.  Nodes and cuts are built once per
+    (rule, z1 range, config) and reused: the range depends on the model
+    only through theta1, so d1, d2 and "any" under one model, and any
+    two models with the same theta1, share one `_column_plan`.
     """
     if which not in ("d1", "d2", "any"):
         raise DomainError(f"which must be d1/d2/any, got {which!r}")
@@ -243,9 +265,7 @@ def region_mass(proc: Procedure, which: str,
 
     lo = min(m1 - Z_RANGE, za - 1.0)
     hi = max(m1 + Z_RANGE, za + 1.0)
-    z1, w = panel_nodes(lo, hi, proc.z_breakpoints(),
-                        cfg.panels_per_axis, cfg.nodes_per_panel)
-    c1, c2 = proc.column_cuts(z1)
+    z1, w, c1, c2 = _column_plan(proc, lo, hi, cfg)
     cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
     # no special case; a NaN cut surfaces as a non-finite mass
@@ -323,16 +343,21 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     """
     t1, t2 = spec.model.theta1, spec.model.theta2
     za = alpha_lines(spec.alpha)[0]
-    e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
-    pieces = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c_g, c_1, c_2 in score_pieces(spec):
-            slope, base = c_g * e1 + c_2, c_1 * e1   # s = slope*e2 + base
-            e2 = (t - base) / slope                   # e2 <= 0: no crossing
-            cut = (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
-            pieces.append((cut, slope * ea2 + base, base))
-    (cut_sq, top_sq, _), (cut_f1, top_f1, bottom_f1), (cut_f2, _, _) = pieces
+    # where e1 overflows (strong shifts, deep in the square) every top and
+    # bottom value is inf or NaN, so the where chain keeps the whole column
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
+        # one row per piece: (3, 1, ...) coefficient columns against e1
+        c_g, c_1, c_2 = np.reshape(np.transpose(score_pieces(spec)),
+                                   (3, 3) + (1,) * e1.ndim)
+        slope, base = c_g * e1 + c_2, c_1 * e1   # s = slope*e2 + base
+        e2 = (t - base) / slope                   # e2 <= 0: no crossing
+        cut = (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
+        top = slope * ea2 + base
+    cut_sq, cut_f1, cut_f2 = cut
+    top_sq, top_f1 = top[:2]
+    bottom_f1 = base[1]
     # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
     cut_low = np.where(t >= top_sq, cut_sq,
                        np.where(t >= top_f1, za,

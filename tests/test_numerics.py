@@ -8,7 +8,8 @@ import pytest
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
                   QuadratureConfig, bisect, hommel, mc_estimate,
                   std_normal_cdf, std_normal_quantile)
-from omt2.numerics import MaxIterations, splitmix64, uniforms
+from omt2.numerics import (MaxIterations, leggauss, panel_nodes, splitmix64,
+                           uniforms)
 
 ALPHA = 0.025
 
@@ -19,6 +20,44 @@ class TestQuadratureConfig:
             QuadratureConfig(panels_per_axis=4)
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
+
+
+def linspace_panel_nodes(lo, hi, breaks, panels, order):
+    """Reference panel layout: one np.linspace per segment."""
+    xs, ws = leggauss(order)
+    cuts = sorted({lo, hi, *(float(b) for b in breaks if lo < float(b) < hi)})
+    max_h = (hi - lo) / panels
+    nodes, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n_sub = max(1, int(math.ceil((b - a) / max_h)))
+        edges = np.linspace(a, b, n_sub + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        nodes.append((mid + half * xs).ravel())
+        weights.append((half * ws).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+class TestPanelNodes:
+    def test_bytes_match_linspace_per_segment(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(2500):
+            lo = rng.uniform(-30.0, 10.0)
+            hi = lo + rng.uniform(1e-3, 40.0)
+            # breaks also fall outside [lo, hi], repeat, or sit within 1e-9
+            breaks = list(rng.uniform(lo - 3.0, hi + 3.0, rng.integers(0, 14)))
+            if breaks and rng.random() < 0.5:
+                breaks += [breaks[0], breaks[-1] + rng.uniform(0.0, 1e-9)]
+            args = (lo, hi, breaks, int(rng.integers(8, 100)),
+                    int(rng.integers(2, 20)))
+            z, w = panel_nodes(*args)
+            z_ref, w_ref = linspace_panel_nodes(*args)
+            assert z.tobytes() == z_ref.tobytes(), args
+            assert w.tobytes() == w_ref.tobytes(), args
+
+    def test_empty_range(self):
+        with pytest.raises(DomainError):
+            panel_nodes(1.0, 1.0, [], 8, 4)
 
 
 class TestBisect:

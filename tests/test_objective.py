@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from omt2 import (AlternativeModel, DomainError, ObjectiveSpec,
-                  UnsupportedModel, coefficient, combo_any_one, lr_density,
-                  pure_any, pure_avg, pure_one, score, score_z)
+                  UnsupportedModel, combo_any_one, lr_density, pure_any,
+                  pure_avg, pure_one, score, score_pieces, score_z)
 
 ALPHA = 0.025
 MODEL = AlternativeModel(-2.0, -2.0)
@@ -39,30 +39,22 @@ class TestSpecValidation:
 
 
 class TestCoefficients:
-    def test_pure_any_has_no_marginal_terms(self, rng):
-        spec = pure_any(MODEL, ALPHA)
-        for _ in range(5):
-            p = tuple(rng.uniform(0.001, 0.999, size=2))
-            assert coefficient(spec, "a1", p) == 0.0
-            assert coefficient(spec, "a2", p) == 0.0
+    """Each objective's (c_g, c_1, c_2) on the square, z1 flank and z2 flank."""
 
-    def test_pure_one_has_no_joint_term(self, rng):
-        spec = pure_one(MODEL, ALPHA)
-        for _ in range(5):
-            p = tuple(rng.uniform(0.001, 0.999, size=2))
-            assert coefficient(spec, "a3", p) == 0.0
+    def test_pure_any_has_no_marginal_terms(self):
+        for c_g, c_1, c_2 in score_pieces(pure_any(MODEL, ALPHA)):
+            assert c_1 == 0.0 and c_2 == 0.0
+
+    def test_pure_one_has_no_joint_term(self):
+        for c_g, c_1, c_2 in score_pieces(pure_one(MODEL, ALPHA)):
+            assert c_g == 0.0
 
     def test_pure_avg_half_joint_density(self):
-        spec = pure_avg(MODEL, ALPHA)
-        # lr(0.5, -2)^2 / 2 = exp(-4) / 2
-        assert coefficient(spec, "a1", (0.5, 0.5)) == pytest.approx(
-            math.exp(-4.0) / 2.0, rel=1e-12)
-        assert coefficient(spec, "a2", (0.5, 0.5)) == pytest.approx(
-            math.exp(-4.0) / 2.0, rel=1e-12)
-
-    def test_unknown_coefficient(self):
-        with pytest.raises(DomainError):
-            coefficient(pure_any(MODEL, ALPHA), "a4", (0.5, 0.5))
+        c_g, c_1, c_2 = score_pieces(pure_avg(MODEL, ALPHA))[0]
+        assert (c_g, c_1, c_2) == (1.0, 0.0, 0.0)
+        # on the square a1 = a2 = c_g*lr1*lr2/2; lr(0.5, -2)^2 / 2 = exp(-4) / 2
+        a = c_g * lr_density(0.5, -2.0) * lr_density(0.5, -2.0) / 2.0
+        assert a == pytest.approx(math.exp(-4.0) / 2.0, rel=1e-12)
 
 
 class TestScore:

@@ -1,6 +1,7 @@
 """Decision rules, calibrated constructions, and region geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from scipy.optimize import brentq
 
 from omt2 import (AlternativeModel, DomainError, ObjectiveSpec, Procedure,
                   ToleranceNotMet, UnsupportedModel, bonferroni, build_bittman,
-                  build_omt, closed_stouffer, combo_any_one, export_region,
-                  fixed_sequence, fwer_global, hommel,
+                  build_omt, closed_stouffer, combo_any_one, evaluate_power,
+                  export_region, fixed_sequence, fwer_global, hommel,
                   hommel_coincidence_bound, mc_estimate, normal_pairs,
                   pure_any, pure_avg, pure_one, region_mass,
                   region_symmetric_difference, score_pieces, score_z,
                   std_normal_quantile)
+from omt2 import procedures
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -376,6 +378,66 @@ class TestRayMassGuards:
     def test_bad_rule_or_event_is_domain_error(self, call, quad_cfg):
         with pytest.raises(DomainError):
             call(quad_cfg)
+
+
+class TestColumnPlan:
+    """`region_mass` builds nodes and cuts once per (rule, range, config)."""
+
+    @pytest.fixture()
+    def panel_builds(self, monkeypatch):
+        """Empty plan cache; the list of `panel_nodes` calls made after."""
+        calls = []
+        real = procedures.panel_nodes
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(procedures, "panel_nodes", counted)
+        procedures._column_plan.cache_clear()
+        yield calls
+        procedures._column_plan.cache_clear()
+
+    def test_power_events_share_two_plans(self, panel_builds, quad_cfg):
+        proc = Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37)
+        evaluate_power(proc, AlternativeModel(-2.0, -2.5), quad_cfg)
+        # the alternative and semi-null 1 share theta1; semi-null 2 has 0
+        assert len(panel_builds) == 2
+        fwer_global(proc, cfg=quad_cfg)    # same range as semi-null 2: a hit
+        assert len(panel_builds) == 2
+
+    def test_mass_is_the_same_from_a_fresh_plan(self, quad_cfg):
+        proc = Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37)
+        model = AlternativeModel(-2.0, -2.5)
+        first = region_mass(proc, "any", model, quad_cfg)
+        procedures._column_plan.cache_clear()
+        assert region_mass(proc, "any", model, quad_cfg) == first
+
+    def test_plan_arrays_are_read_only(self, quad_cfg):
+        plan = procedures._column_plan(hommel(ALPHA), -11.5, 9.5, quad_cfg)
+        for arr in plan:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("w", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                   (0.0, 0.0, 1.0), (1.0 / 3.0, 0.0, 2.0 / 3.0),
+                                   (0.2, 0.3, 0.5)])
+    @pytest.mark.parametrize("t_score", [1e-300, 1e300])
+    def test_extreme_threshold_warns_nothing(self, w, t_score, panel_builds,
+                                             quad_cfg):
+        spec = ObjectiveSpec(*w, AlternativeModel(-2.0, -3.0), ALPHA)
+        proc = Procedure("omt", ALPHA, spec=spec, t_score=t_score)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc.column_cuts(np.linspace(-25.0, 12.0, 6001))
+            region_mass(proc, "any", None, quad_cfg)
+
+    def test_strong_shift_warns_nothing(self, panel_builds, quad_cfg):
+        # e1 overflows to +inf in the columns far inside the square
+        model = AlternativeModel(-30.0, -30.0)
+        proc = build_omt(pure_one(model, ALPHA), quad_cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_power(proc, model, quad_cfg).pi_any == pytest.approx(1.0)
 
 
 class TestRegionExport:
