@@ -10,8 +10,8 @@ sample allocation and sample-size savings.
 from .errors import (ConfigError, DegenerateVariance, DomainError,
                      MaxIterations, NoBracket, Omt2Error, ToleranceNotMet,
                      Unachievable, UnsupportedModel)
-from .gauss import (AlternativeModel, bivariate_null_density, lr_density,
-                    std_normal_cdf, std_normal_quantile)
+from .gauss import (AlternativeModel, lr_density, std_normal_cdf,
+                    std_normal_quantile)
 from .numerics import (McConfig, QuadratureConfig, bisect, mc_estimate,
                        normal_pairs)
 from .objective import (ObjectiveSpec, combo_any_one, pure_any, pure_avg,

@@ -12,7 +12,8 @@ apex      the built-in two-population worked example: observed
 savings   sample-size saving of the optimal rule over a baseline
 
 Configuration is ``key = value`` lines (# comments allowed); flags
-override file values and unknown keys are errors.  ``--dump-config``
+override file values, which override ``OMT2_QUAD_PROFILE`` for the
+quadrature profile, and unknown keys are errors.  ``--dump-config``
 prints the fully resolved configuration and exits; feeding that file
 back via ``--config`` reproduces the run byte-for-byte.
 
@@ -50,14 +51,19 @@ _PROFILES = {
     "fine": QuadratureConfig(panels_per_axis=48, nodes_per_panel=16, abs_tol=1e-10),
 }
 
-# --objective names and the measure whose weights each one selects
-_OBJECTIVES = {"pi_any": "pi_any", "pi_avg": "pi_avg", "pi1": "pi_1",
-               "pi_1": "pi_1", "combo": "pi_combo"}
+# --objective and --measure names: the four measures and two aliases
+_MEASURE_NAMES = {**{m: m for m in MEASURES}, "pi1": "pi_1", "combo": "pi_combo"}
 
-# Builtin rules by name: (alpha, quadrature config) -> Procedure.  The
-# constructors are looked up when called, so rebinding this module's
-# names reaches them.  Table order is the column order of power tables
-# and of apex's decision rows.
+# (error classes, exit code, stderr label); the first matching row wins
+_EXIT_CODES = (((ConfigError, DomainError, DegenerateVariance, UnsupportedModel),
+                2, "configuration error"),
+               ((ToleranceNotMet, NoBracket, MaxIterations), 3, "numerical failure"),
+               (Unachievable, 4, "unachievable target"),
+               (Omt2Error, 3, "error"))
+
+# Builtin rules by name, (alpha, quadrature config) -> Procedure, in the
+# column order of power tables and apex's decision rows.  Constructors
+# are looked up when called, so rebinding this module's names reaches them.
 _BUILTINS = {
     "closed_stouffer": lambda a, q: closed_stouffer(a),
     "hommel": lambda a, q: hommel(a),
@@ -75,23 +81,26 @@ _OMT_COLUMNS = (("pi_avg", "omt_avg_any"), ("pi_1", "omt_pi1"),
 # APEX-style default counts per group, in _COUNT_KEYS order
 _COUNT_KEYS = ("events_control", "n_control", "events_treat", "n_treat")
 _DEFAULT_COUNTS = {1: (166, 1956, 132, 1914), 2: (57, 1218, 33, 1198)}
-_DEFAULT_RATES = {"rate_control": 0.075, "rate_treat": 0.04875}
+_RATE_KEYS = {"rate_control": (float, 0.075), "rate_treat": (float, 0.04875)}
 
 
 # ----------------------------------------------------------------------
 # config resolution
 # ----------------------------------------------------------------------
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def read_config_file(path: str, known: dict[str, type]) -> dict:
-    """Parse a line-oriented key = value file against a key registry."""
+def _split_line(raw: str) -> tuple[str, str, str]:
+    """A config line's (key, '=', value) after its comment is cut off;
+    the separator is '' for a line without one."""
+    key, sep, val = raw.split("#", 1)[0].partition("=")
+    return key.strip(), sep, val.strip()
+
+
+def read_config_file(path: str, known: dict[str, tuple[type, object]]) -> dict:
+    """Parse a line-oriented key = value file against a key table."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,81 +108,72 @@ def read_config_file(path: str, known: dict[str, type]) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, sep, val = _split_line(raw)
+        if not sep:
+            if key:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = known[key]
+        typ = known[key][0]
         try:
-            out[key] = _parse_bool(val) if typ is bool else typ(val)
-        except (ValueError, ConfigError) as exc:
+            out[key] = _BOOLS[val.lower()] if typ is bool else typ(val)
+        except (ValueError, KeyError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 
-def resolve(args: argparse.Namespace, keys: dict[str, type],
-            defaults: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    file_vals = {}
-    if getattr(args, "config", None):
-        file_vals = read_config_file(args.config, keys)
-    cfg = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in file_vals:
-            cfg[key] = file_vals[key]
-        else:
-            cfg[key] = defaults.get(key)
+def resolve(args: argparse.Namespace,
+            keys: dict[str, tuple[type, object]]) -> dict:
+    """Merge flag values over config-file values over defaults; an unset
+    quadrature profile falls back to the environment, then 'default'."""
+    file_vals = read_config_file(args.config, keys) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    cfg = {key: flags.get(key, file_vals.get(key, default))
+           for key, (_, default) in keys.items()}
+    cfg["quad_profile"] = (cfg["quad_profile"]
+                           or os.environ.get(QUAD_PROFILE_ENV, "default"))
     return cfg
 
 
 def dump_config(cfg: dict, stream) -> None:
-    for key in sorted(cfg):
-        val = cfg[key]
+    """Write cfg as a config file; ConfigError, with nothing written, if a
+    value would not read back unchanged (a '#', a line break)."""
+    lines = []
+    for key, val in sorted(cfg.items()):
         if val is None:
             continue
         if isinstance(val, bool):
             val = "true" if val else "false"
         elif isinstance(val, float):
             val = repr(val)
-        stream.write(f"{key} = {val}\n")
+        line = f"{key} = {val}"
+        read_back = [_split_line(part)
+                     for part in line.replace("\r", "\n").split("\n")]
+        if read_back != [(key, "=", str(val))]:
+            raise ConfigError(f"{key} = {val!r} would not read back from a "
+                              "config file")
+        lines.append(line + "\n")
+    stream.write("".join(lines))
 
 
-def quad_config(profile: str | None) -> QuadratureConfig:
-    name = profile or os.environ.get(QUAD_PROFILE_ENV, "default")
-    if name not in _PROFILES:
-        raise ConfigError(f"unknown quadrature profile {name!r} "
-                          f"(choose from {sorted(_PROFILES)})")
-    return _PROFILES[name]
+def _choose(table: dict, name: str, what: str):
+    """table[name], or a ConfigError that lists the choices."""
+    if name not in table:
+        raise ConfigError(f"unknown {what} {name!r} (choose from {sorted(table)})")
+    return table[name]
 
 
-def _objective_weights(name: str) -> tuple[float, float, float]:
-    if name not in _OBJECTIVES:
-        raise ConfigError(f"unknown objective {name!r} "
-                          f"(choose from {sorted(_OBJECTIVES)})")
-    return MEASURE_WEIGHTS[_OBJECTIVES[name]]
-
-
-def _measure_weights(measure: str) -> tuple[float, float, float]:
-    if measure not in MEASURE_WEIGHTS:
-        raise ConfigError(f"unknown measure {measure!r} (choose from {MEASURES})")
-    return MEASURE_WEIGHTS[measure]
+def _measure(name: str) -> str:
+    """The measure an --objective or --measure name selects."""
+    return _choose(_MEASURE_NAMES, name, "measure")
 
 
 def _marginal_calibration(name: str) -> bool:
     """True for the marginal-power calibration, False for the design one."""
-    if name in ("marginal-power", "marginal_power"):
-        return True
-    if name != "design":
+    if name not in ("design", "marginal-power", "marginal_power"):
         raise ConfigError("calibration must be 'design' or 'marginal-power'")
-    return False
+    return name != "design"
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -190,19 +190,22 @@ def _build_procedure(kind: str, alpha: float, objective: str | None,
     if kind == "omt":
         if objective is None or theta1 is None or theta2 is None:
             raise ConfigError("omt needs --objective, --theta1 and --theta2")
-        w = _objective_weights(objective)
-        spec = ObjectiveSpec(*w, AlternativeModel(theta1, theta2, 0.0), alpha)
-        return build_omt(spec, qcfg)
+        return _omt(_measure(objective), alpha, theta1, theta2, qcfg)
     raise ConfigError(f"unknown procedure {kind!r}")
+
+
+def _omt(measure: str, alpha: float, th1: float, th2: float,
+         qcfg: QuadratureConfig) -> Procedure:
+    """The optimal rule for one measure under independent shifts."""
+    spec = ObjectiveSpec(*MEASURE_WEIGHTS[measure],
+                         AlternativeModel(th1, th2, 0.0), alpha)
+    return build_omt(spec, qcfg)
 
 
 def _power_columns(selection: str, alpha: float, th1: float, th2: float,
                    qcfg: QuadratureConfig) -> list[tuple[str, Procedure]]:
     """The optimal-rule columns, then the selection's builtins."""
-    model = AlternativeModel(th1, th2, 0.0)
-    cols = [(label, build_omt(ObjectiveSpec(*MEASURE_WEIGHTS[m], model, alpha),
-                              qcfg))
-            for m, label in _OMT_COLUMNS]
+    cols = [(label, _omt(m, alpha, th1, th2, qcfg)) for m, label in _OMT_COLUMNS]
     return cols + [(name, _BUILTINS[name](alpha, qcfg))
                    for name in _SELECTIONS[selection]]
 
@@ -210,11 +213,8 @@ def _power_columns(selection: str, alpha: float, th1: float, th2: float,
 def _power_table(cols: list[tuple[str, Procedure]],
                  model: AlternativeModel | None, rho: float | None,
                  qcfg: QuadratureConfig, out_stream) -> None:
-    """Write the measure x procedure matrix at 4 decimals.
-
-    model=None leaves out the measure rows; rho=None leaves out the
-    global-null fwer row.
-    """
+    """Write the measure x procedure matrix at 4 decimals; model=None
+    leaves out the measure rows, rho=None the global-null fwer row."""
     width = max(len(name) for name, _ in cols)
 
     def row(label: str, cells) -> None:
@@ -245,57 +245,49 @@ def _write_out(path: str, text: str, stream) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
-_REGION_KEYS = {"proc": str, "objective": str, "alpha": float, "theta1": float,
-                "theta2": float, "grid": int, "z_lo": float, "z_hi": float,
-                "out": str, "quad_profile": str}
-_REGION_DEFAULTS = {"proc": "hommel", "alpha": 0.025, "grid": 256,
-                    "z_lo": -4.0, "z_hi": 0.0, "out": "region.csv"}
+# each command's config keys: key -> (type, default)
+_REGION_KEYS = {"proc": (str, "hommel"), "objective": (str, None),
+                "alpha": (float, 0.025), "theta1": (float, None),
+                "theta2": (float, None), "grid": (int, 256), "z_lo": (float, -4.0),
+                "z_hi": (float, 0.0), "out": (str, "region.csv")}
 
 
-def cmd_region(cfg: dict, out_stream) -> int:
-    qcfg = quad_config(cfg["quad_profile"])
+def cmd_region(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     proc = _build_procedure(cfg["proc"], cfg["alpha"], cfg["objective"],
                             cfg["theta1"], cfg["theta2"], qcfg)
     grid = export_region(proc, cfg["grid"], cfg["z_lo"], cfg["z_hi"])
     _write_out(cfg["out"], grid.to_csv(), out_stream)
-    counts = grid.class_counts()
     out_stream.write(f"procedure: {proc.describe()}\n")
     out_stream.write(f"alpha = {cfg['alpha']:.6g}\n")
     if proc.kind == "omt":
         out_stream.write(f"threshold t = {proc.t_score:.6g}\n")
     if proc.kind in ("bittman", "closed_stouffer"):
         out_stream.write(f"z-sum threshold = {proc.t_sum:.6g}\n")
-    out_stream.write("cells: " + " ".join(f"{k}={v}" for k, v in counts.items())
-                     + "\n")
+    out_stream.write("cells: " + " ".join(
+        f"{k}={v}" for k, v in grid.class_counts().items()) + "\n")
     if cfg["out"] != "-":
         out_stream.write(f"region grid written to {cfg['out']}\n")
     return 0
 
 
-_POWER_KEYS = {"procedures": str, "proc": str, "objective": str, "alpha": float,
-               "theta1": float, "theta2": float, "rho": float,
-               "marginal_power": float, "design_arm": int,
-               "rate_control": float, "rate_treat": float, "mc": bool,
-               "seed": int, "reps": int, "quad_profile": str}
-_POWER_DEFAULTS = {"procedures": None, "proc": None, "alpha": 0.025,
-                   "rho": 0.0, "mc": False, "seed": 20260810,
-                   "reps": 1_000_000, **_DEFAULT_RATES}
+_POWER_KEYS = {"procedures": (str, None), "proc": (str, None),
+               "objective": (str, None), "alpha": (float, 0.025),
+               "theta1": (float, None), "theta2": (float, None),
+               "rho": (float, 0.0), "marginal_power": (float, None),
+               "design_arm": (int, None), **_RATE_KEYS, "mc": (bool, False),
+               "seed": (int, 20260810), "reps": (int, 1_000_000)}
 
 
-def cmd_power(cfg: dict, out_stream) -> int:
-    qcfg = quad_config(cfg["quad_profile"])
+def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     alpha = cfg["alpha"]
     # calibration: direct shifts, marginal detection power, or the
     # two-proportion design at a given per-arm size
     if cfg["marginal_power"] is not None:
-        th = theta_from_marginal_power(cfg["marginal_power"], alpha)
-        th1 = th2 = th
+        th1 = th2 = theta_from_marginal_power(cfg["marginal_power"], alpha)
     elif cfg["design_arm"] is not None:
-        th = theta_from_design(TwoArmDesign(cfg["rate_control"],
-                                            cfg["rate_treat"],
-                                            cfg["design_arm"],
-                                            cfg["design_arm"]))
-        th1 = th2 = th
+        n = cfg["design_arm"]
+        th1 = th2 = theta_from_design(TwoArmDesign(cfg["rate_control"],
+                                                   cfg["rate_treat"], n, n))
     else:
         _require(cfg, "theta1", "theta2")
         th1, th2 = cfg["theta1"], cfg["theta2"]
@@ -329,28 +321,24 @@ def cmd_power(cfg: dict, out_stream) -> int:
     return 0
 
 
-_ALLOC_KEYS = {"N": int, "grid": str, "measure": str, "alpha": float,
-               "rate_control": float, "rate_treat": float, "out": str,
-               "quad_profile": str}
-_ALLOC_DEFAULTS = {"measure": "pi_1", "alpha": 0.025, **_DEFAULT_RATES,
-                   "out": "allocation.csv"}
+_ALLOC_KEYS = {"N": (int, None), "grid": (str, None), "measure": (str, "pi_1"),
+               "alpha": (float, 0.025), **_RATE_KEYS,
+               "out": (str, "allocation.csv")}
 
 
-def cmd_allocate(cfg: dict, out_stream) -> int:
+def cmd_allocate(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     _require(cfg, "N", "grid")
-    qcfg = quad_config(cfg["quad_profile"])
     try:
         grid = [float(x) for x in cfg["grid"].split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad allocation grid {cfg['grid']!r}") from exc
     if not grid:
         raise ConfigError("allocation grid is empty")
-    measure = cfg["measure"]
-    weights = _measure_weights(measure)
+    weights = MEASURE_WEIGHTS[_measure(cfg["measure"])]
     result = allocation_search(cfg["N"], weights, cfg["rate_control"],
                                cfg["rate_treat"], grid, cfg["alpha"], qcfg)
     _write_out(cfg["out"], result.to_csv(), out_stream)
-    out_stream.write(f"objective template: {measure}, N = {cfg['N']}\n")
+    out_stream.write(f"objective template: {cfg['measure']}, N = {cfg['N']}\n")
     for m in MEASURES:
         out_stream.write(f"argmax[{m}] = r = {result.argmax[m]:g}\n")
     if cfg["out"] != "-":
@@ -358,24 +346,20 @@ def cmd_allocate(cfg: dict, out_stream) -> int:
     return 0
 
 
-_APEX_COUNTS = {f"{key}{g}": n for g, counts in _DEFAULT_COUNTS.items()
-                for key, n in zip(_COUNT_KEYS, counts)}
-_APEX_KEYS = {"alpha": float, **dict.fromkeys(_APEX_COUNTS, int),
-              "rate_control": float, "rate_treat": float, "calibration": str,
-              "beta": float, "skip_power": bool, "quad_profile": str}
-_APEX_DEFAULTS = {"alpha": 0.025, **_APEX_COUNTS, **_DEFAULT_RATES,
-                  "calibration": "design", "beta": 0.85, "skip_power": False}
+_APEX_KEYS = {"alpha": (float, 0.025),
+              **{f"{key}{g}": (int, n) for g, counts in _DEFAULT_COUNTS.items()
+                 for key, n in zip(_COUNT_KEYS, counts)},
+              **_RATE_KEYS, "calibration": (str, "design"),
+              "beta": (float, 0.85), "skip_power": (bool, False)}
 
 
-def cmd_apex(cfg: dict, out_stream) -> int:
-    qcfg = quad_config(cfg["quad_profile"])
+def cmd_apex(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     alpha = cfg["alpha"]
     counts = [tuple(cfg[f"{key}{g}"] for key in _COUNT_KEYS) for g in (1, 2)]
     p_obs = [observed_pvalue(*c) for c in counts]
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
-    th_design = tuple(
-        theta_from_design(TwoArmDesign(rc, rt, cfg[f"n_control{g}"],
-                                       cfg[f"n_treat{g}"])) for g in (1, 2))
+    th_design = tuple(theta_from_design(TwoArmDesign(
+        rc, rt, cfg[f"n_control{g}"], cfg[f"n_treat{g}"])) for g in (1, 2))
     th_marg = theta_from_marginal_power(cfg["beta"], alpha)
     if _marginal_calibration(cfg["calibration"]):
         th1 = th2 = th_marg
@@ -410,33 +394,26 @@ def cmd_apex(cfg: dict, out_stream) -> int:
     return 0
 
 
-_SAVINGS_KEYS = {"measure": str, "N": int, "alpha": float, "calibration": str,
-                 "beta": float, "rate_control": float, "rate_treat": float,
-                 "n_cap": int, "quad_profile": str}
-_SAVINGS_DEFAULTS = {"measure": "pi_any", "N": 4800, "alpha": 0.025,
-                     "calibration": "marginal-power", "beta": 0.85,
-                     **_DEFAULT_RATES, "n_cap": 200_000}
+_SAVINGS_KEYS = {"measure": (str, "pi_any"), "N": (int, 4800), "alpha": (float, 0.025),
+                 "calibration": (str, "marginal-power"), "beta": (float, 0.85),
+                 **_RATE_KEYS, "n_cap": (int, 200_000)}
 
 
-def cmd_savings(cfg: dict, out_stream) -> int:
-    qcfg = quad_config(cfg["quad_profile"])
+def cmd_savings(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     alpha, n_ref = cfg["alpha"], cfg["N"]
-    measure = cfg["measure"]
-    weights = _measure_weights(measure)
+    measure = _measure(cfg["measure"])
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
+    marginal = _marginal_calibration(cfg["calibration"])
+    th_ref = theta_from_marginal_power(cfg["beta"], alpha) if marginal else None
 
-    if _marginal_calibration(cfg["calibration"]):
-        th_ref = theta_from_marginal_power(cfg["beta"], alpha)
-
-        def theta_of_n(n: int) -> float:
+    def theta_of_n(n: int) -> float:
+        if marginal:
             return th_ref * math.sqrt(n / n_ref)
-    else:
-        def theta_of_n(n: int) -> float:
-            return theta_for_group(n // 2, rc, rt)
+        return theta_for_group(n // 2, rc, rt)
 
-    rep = savings_report(measure, weights, n_ref, theta_of_n, alpha, qcfg,
-                         n_cap=cfg["n_cap"])
-    out_stream.write(f"measure: {measure}  calibration: {cfg['calibration']}\n")
+    rep = savings_report(measure, MEASURE_WEIGHTS[measure], n_ref, theta_of_n,
+                         alpha, qcfg, n_cap=cfg["n_cap"])
+    out_stream.write(f"measure: {cfg['measure']}  calibration: {cfg['calibration']}\n")
     out_stream.write(f"optimal-rule power at N={n_ref}: {rep.optimal_power:.4f}\n")
     out_stream.write(f"baseline (hommel) power at N={n_ref}: "
                      f"{rep.reference_power:.4f}\n")
@@ -449,65 +426,56 @@ def cmd_savings(cfg: dict, out_stream) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, keys: dict[str, type]) -> None:
+def _add_common(sub: argparse.ArgumentParser,
+                keys: dict[str, tuple[type, object]]) -> None:
     sub.add_argument("--config", help="key = value configuration file")
     sub.add_argument("--dump-config", action="store_true",
                      help="print resolved configuration and exit")
-    for key, typ in keys.items():
-        flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            sub.add_argument(flag, dest=key, action="store_const", const=True,
-                             default=None)
-        else:
-            sub.add_argument(flag, dest=key, type=typ, default=None)
+    for key, (typ, _) in keys.items():
+        how = (dict(action="store_const", const=True) if typ is bool
+               else dict(type=typ))
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                         **how)
 
 
-_COMMANDS = {
-    "region": (_REGION_KEYS, _REGION_DEFAULTS, cmd_region),
-    "power": (_POWER_KEYS, _POWER_DEFAULTS, cmd_power),
-    "allocate": (_ALLOC_KEYS, _ALLOC_DEFAULTS, cmd_allocate),
-    "apex": (_APEX_KEYS, _APEX_DEFAULTS, cmd_apex),
-    "savings": (_SAVINGS_KEYS, _SAVINGS_DEFAULTS, cmd_savings),
-}
+# subcommand -> (key table, handler); every command takes quad_profile
+_COMMANDS = {name: ({**keys, "quad_profile": (str, None)}, command)
+             for name, keys, command in (
+                 ("region", _REGION_KEYS, cmd_region),
+                 ("power", _POWER_KEYS, cmd_power),
+                 ("allocate", _ALLOC_KEYS, cmd_allocate),
+                 ("apex", _APEX_KEYS, cmd_apex),
+                 ("savings", _SAVINGS_KEYS, cmd_savings))}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="omt2",
-        description="Optimal two-hypothesis testing procedures and design")
+        prog="omt2", description="Optimal two-hypothesis testing procedures and design")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (keys, _, _) in _COMMANDS.items():
+    for name, (keys, _) in _COMMANDS.items():
         _add_common(subs.add_parser(name), keys)
     return parser
 
 
 def main(argv: list[str] | None = None, out_stream=None) -> int:
     out = out_stream if out_stream is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    keys, defaults, command = _COMMANDS[args.command]
+    keys, command = _COMMANDS[args.command]
     try:
-        cfg = resolve(args, keys, defaults)
+        cfg = resolve(args, keys)
+        qcfg = _choose(_PROFILES, cfg["quad_profile"], "quadrature profile")
         if args.dump_config:
             dump_config(cfg, out)
             return 0
-        return command(cfg, out)
-    except (ConfigError, DomainError, DegenerateVariance,
-            UnsupportedModel) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ToleranceNotMet, NoBracket, MaxIterations) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except Unachievable as exc:
-        print(f"unachievable target: {exc}", file=sys.stderr)
-        return 4
+        return command(cfg, qcfg, out)
     except Omt2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, label = next((code, label) for types, code, label in _EXIT_CODES
+                           if isinstance(exc, types))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ __all__ = [
     "std_normal_quantile",
     "alpha_lines",
     "lr_density",
-    "bivariate_null_density",
 ]
 
 # Smallest p-value accepted by decision rules before transforming to a
@@ -110,17 +109,6 @@ def lr_density(p, theta: float):
         raise DomainError(f"theta must be finite, got {theta!r}")
     z = std_normal_quantile(p)
     return np.exp(z * theta - 0.5 * theta * theta)
-
-
-def bivariate_null_density(z1, z2, rho: float):
-    """Standard bivariate normal density with correlation ``rho``."""
-    if not (math.isfinite(rho) and -1.0 < rho < 1.0):
-        raise DomainError(f"rho must be in (-1, 1), got {rho!r}")
-    z1 = np.asarray(z1, dtype=float) if np.ndim(z1) else float(z1)
-    z2 = np.asarray(z2, dtype=float) if np.ndim(z2) else float(z2)
-    det = 1.0 - rho * rho
-    quad_form = (np.square(z1) - 2.0 * rho * np.multiply(z1, z2) + np.square(z2)) / det
-    return np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(det))
 
 
 _P_MAX = float(np.nextafter(1.0, 0.0))

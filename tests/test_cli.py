@@ -4,7 +4,9 @@ import io
 
 import pytest
 
-from omt2 import ToleranceNotMet
+from omt2 import (ConfigError, DegenerateVariance, DomainError, MaxIterations,
+                  NoBracket, Omt2Error, ToleranceNotMet, Unachievable,
+                  UnsupportedModel)
 from omt2.cli import main
 import omt2.cli as cli_mod
 
@@ -308,6 +310,37 @@ class TestConfigHandling:
         assert code == 0
         assert reproduced == reference
 
+    def test_dump_config_records_env_profile(self, tmp_path, monkeypatch):
+        argv = ["region", "--proc", "omt", "--objective", "combo", "--theta1",
+                "-3", "--theta2", "-2", "--out", "-"]
+        monkeypatch.setenv(cli_mod.QUAD_PROFILE_ENV, "coarse")
+        code, reference = run(argv)
+        assert code == 0
+        code, dumped = run(argv + ["--dump-config"])
+        assert code == 0
+        assert "quad_profile = coarse\n" in dumped
+        monkeypatch.delenv(cli_mod.QUAD_PROFILE_ENV)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(dumped)
+        code, reproduced = run(["region", "--config", str(cfg_file)])
+        assert code == 0
+        assert reproduced == reference
+        # the flag and the file both override the environment
+        monkeypatch.setenv(cli_mod.QUAD_PROFILE_ENV, "fine")
+        assert run(["region", "--config", str(cfg_file)]) == (0, reference)
+        code, dumped = run(argv + ["--quad-profile", "coarse", "--dump-config"])
+        assert "quad_profile = coarse\n" in dumped
+
+    @pytest.mark.parametrize("out", ["a#b.csv", "a\nb.csv", "a\rb.csv", " a.csv"],
+                             ids=["hash", "newline", "return", "leading-space"])
+    def test_dump_config_refuses_value_that_does_not_read_back(self, out,
+                                                               capsys):
+        code, dumped = run(["region", "--grid", "16", "--out", out,
+                            "--dump-config"])
+        assert code == 2
+        assert dumped == ""
+        assert "would not read back" in capsys.readouterr().err
+
     def test_config_file_with_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# settings\nproc = hommel\ntheta1 = -2.0\n"
@@ -347,9 +380,65 @@ class TestConfigHandling:
                        "--theta1", "-2", "--theta2", "-2"])
         assert code == 3
 
+    EXITS = [(ConfigError, 2, "configuration error"),
+             (DomainError, 2, "configuration error"),
+             (DegenerateVariance, 2, "configuration error"),
+             (UnsupportedModel, 2, "configuration error"),
+             (ToleranceNotMet, 3, "numerical failure"),
+             (NoBracket, 3, "numerical failure"),
+             (MaxIterations, 3, "numerical failure"),
+             (Omt2Error, 3, "error"),
+             (Unachievable, 4, "unachievable target")]
+
+    @pytest.mark.parametrize("error, code, label", EXITS,
+                             ids=[e.__name__ for e, _, _ in EXITS])
+    def test_exit_code_per_error_class(self, error, code, label, monkeypatch,
+                                       capsys):
+        def boom(spec, cfg=None):
+            raise error("injected")
+        monkeypatch.setattr(cli_mod, "build_omt", boom)
+        assert run(["region", "--proc", "omt", "--objective", "pi1",
+                    "--theta1", "-2", "--theta2", "-2", "--out", "-"]) == (code, "")
+        assert capsys.readouterr().err == f"{label}: injected\n"
+
     def test_no_command_is_usage_error(self):
         code, _ = run([])
         assert code == 2
+
+
+class TestMeasureNames:
+    NAMES = ("pi_avg", "pi_any", "pi_1", "pi_combo", "pi1", "combo")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_objective_and_measure_accept_every_name(self, name):
+        code, _ = run(["region", "--proc", "omt", "--objective", name,
+                       "--theta1", "-2.5", "--theta2", "-3", "--grid", "16",
+                       "--out", "-"])
+        assert code == 0
+        code, out = run(["allocate", "--N", "600", "--grid", "0.5",
+                         "--measure", name, "--out", "-"])
+        assert code == 0
+        assert f"objective template: {name}, N = 600" in out
+
+    def test_alias_builds_the_same_rule(self):
+        region = ["region", "--proc", "omt", "--theta1", "-3", "--theta2", "-2",
+                  "--grid", "64", "--out", "-", "--objective"]
+        assert run(region + ["combo"]) == run(region + ["pi_combo"])
+        assert run(region + ["pi1"]) == run(region + ["pi_1"])
+        savings = ["savings", "--N", "1200", "--measure"]
+        code, alias = run(savings + ["combo"])
+        assert code == 0
+        assert alias.startswith("measure: combo ")
+        assert run(savings + ["pi_combo"]) == (
+            0, alias.replace("measure: combo ", "measure: pi_combo ", 1))
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--proc", "omt", "--theta1", "-2", "--theta2", "-2",
+         "--objective"],
+        ["allocate", "--N", "600", "--grid", "0.5", "--measure"],
+        ["savings", "--measure"]], ids=lambda argv: argv[0])
+    def test_unknown_name_is_config_error(self, argv):
+        assert run(argv + ["pi_everything"]) == (2, "")
 
 
 class TestInstalledEntryPoint:

@@ -7,6 +7,9 @@ in-process through `omt2.cli.main` inside a temporary directory; the
 record keeps the exit code, stdout and the sha256 of every file the
 command writes there (the `region` and `allocate` CSVs).
 
+Every command in the README's CLI code block must be in the corpus, so
+a README command cannot drift away from pinned output.
+
 A refactor must leave `tests/data/cli_golden.txt` byte-identical.  A
 change that moves printed digits on purpose regenerates the file with
 
@@ -23,6 +26,7 @@ import sys
 import tempfile
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.txt"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 COMMANDS = (
     "region --proc omt --objective pi1 --theta1 -2 --theta2 -2 "
@@ -62,6 +66,28 @@ def render(workdir: pathlib.Path) -> str:
     finally:
         os.chdir(cwd)
     return "".join(blocks)
+
+
+def readme_commands() -> list[str]:
+    """The arguments of each `omt2 ...` line in the README's CLI code
+    block, with `\\` continuations joined, trailing `# ...` comments
+    dropped and whitespace normalized."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        words = line.split(" #", 1)[0].split()
+        if words[:1] == ["omt2"]:
+            commands.append(" ".join(words[1:]))
+    return commands
+
+
+def test_readme_commands_are_pinned():
+    commands = readme_commands()
+    assert commands, "no omt2 commands in the README's CLI code block"
+    pinned = {" ".join(c.split()) for c in COMMANDS}
+    assert [c for c in commands if c not in pinned] == []
 
 
 def test_cli_output_matches_golden(tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from mpmath import mp
 from scipy.integrate import dblquad, quad
 
-from omt2 import (AlternativeModel, DomainError, bivariate_null_density,
-                  lr_density, std_normal_cdf, std_normal_quantile)
+from omt2 import (AlternativeModel, DomainError, QuadratureConfig, bonferroni,
+                  fwer_global, hommel, lr_density, std_normal_cdf,
+                  std_normal_quantile)
 
 
 def mp_quantile(u: float, dps: int = 50) -> float:
@@ -141,6 +142,16 @@ class TestLrDensity:
         assert np.all(np.diff(vals) < 0)
 
 
+def bivariate_null_density(z1, z2, rho: float):
+    """Standard bivariate normal density with correlation ``rho``: the
+    oracle for the correlated global null (`TestBivariateNullDensity`)."""
+    if not (math.isfinite(rho) and -1.0 < rho < 1.0):
+        raise DomainError(f"rho must be in (-1, 1), got {rho!r}")
+    det = 1.0 - rho * rho
+    quad_form = (np.square(z1) - 2.0 * rho * np.multiply(z1, z2) + np.square(z2)) / det
+    return np.exp(-0.5 * quad_form) / (2.0 * math.pi * math.sqrt(det))
+
+
 class TestBivariateNullDensity:
     def test_independent_origin(self):
         assert bivariate_null_density(0.0, 0.0, 0.0) == pytest.approx(
@@ -165,6 +176,25 @@ class TestBivariateNullDensity:
         val, err = dblquad(lambda y, x: bivariate_null_density(x, y, rho),
                            -8.5, 8.5, -8.5, 8.5, epsabs=1e-9)
         assert val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.3, 0.8])
+    def test_correlated_fwer_global(self, rho):
+        """The ray quadrature's correlated global-null rejection mass for
+        bonferroni and hommel against the density integrated over boxes:
+        bonferroni rejects when min(z) <= z(alpha/2), hommel also when
+        both z-scores lie in (z(alpha/2), z(alpha)]."""
+        za, zh = std_normal_quantile(0.025), std_normal_quantile(0.0125)
+
+        def box(lo, hi):
+            return dblquad(lambda y, x: bivariate_null_density(x, y, rho),
+                           lo, hi, lo, hi, epsabs=1e-12, epsrel=1e-10)[0]
+
+        fwer_bonf = 2.0 * std_normal_cdf(zh) - box(-12.0, zh)
+        cfg = QuadratureConfig()
+        assert fwer_global(bonferroni(0.025), rho, cfg) == pytest.approx(
+            fwer_bonf, abs=1e-12)
+        assert fwer_global(hommel(0.025), rho, cfg) == pytest.approx(
+            fwer_bonf + box(zh, za), abs=1e-12)
 
 
 class TestAlternativeModel:
