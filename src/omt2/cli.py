@@ -17,8 +17,9 @@ quadrature profile, and unknown keys are errors.  ``--dump-config``
 prints the fully resolved configuration and exits; feeding that file
 back via ``--config`` reproduces the run byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 unachievable target.
+Exit codes: 0 success, 1 stdout closed before the output was written
+(``omt2 ... | head -1``; nothing is printed on stderr), 2 configuration
+error, 3 numerical failure, 4 unachievable target.
 """
 
 from __future__ import annotations
@@ -280,6 +281,14 @@ _POWER_KEYS = {"procedures": (str, None), "proc": (str, None),
 
 def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     alpha = cfg["alpha"]
+    if cfg["proc"] is not None and cfg["procedures"] is not None:
+        raise ConfigError("give proc or procedures, not both")
+    sources = [name for name, given in (
+        ("theta1/theta2", cfg["theta1"] is not None or cfg["theta2"] is not None),
+        ("marginal_power", cfg["marginal_power"] is not None),
+        ("design_arm", cfg["design_arm"] is not None)) if given]
+    if len(sources) > 1:
+        raise ConfigError(f"give one calibration, not {' and '.join(sources)}")
     # calibration: direct shifts, marginal detection power, or the
     # two-proportion design at a given per-arm size
     if cfg["marginal_power"] is not None:
@@ -458,7 +467,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out_stream=None) -> int:
-    out = out_stream if out_stream is not None else sys.stdout
+    if out_stream is not None:
+        return _run(argv, out_stream)
+    try:
+        code = _run(argv, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send the rest to devnull so that
+        # the flush at exit cannot fail again (the SIGPIPE recipe of the
+        # Python `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str] | None, out) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

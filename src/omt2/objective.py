@@ -109,11 +109,11 @@ def _check_p(p1, p2) -> None:
         raise DomainError("p-values must lie in the open unit square")
 
 
-def _lr_pair_z(spec: ObjectiveSpec, z1, z2):
-    t1, t2 = spec.model.theta1, spec.model.theta2
-    e1 = np.exp(t1 * np.asarray(z1, dtype=float) - 0.5 * t1 * t1)
-    e2 = np.exp(t2 * np.asarray(z2, dtype=float) - 0.5 * t2 * t2)
-    return e1, e2
+def _lr_z(theta: float, z: np.ndarray) -> np.ndarray:
+    """exp(theta*z - theta^2/2) as a fresh array the caller may overwrite."""
+    e = np.multiply(theta, z)
+    e -= 0.5 * theta * theta
+    return np.exp(e, out=e)
 
 
 def _require_independent(spec: ObjectiveSpec) -> None:
@@ -127,20 +127,34 @@ def score_z(spec: ObjectiveSpec, z1, z2):
 
     On the square both indicators are active; on the flanks only the
     small coordinate contributes its a_i, while a3 stays active on the
-    whole L-shaped domain.
+    whole L-shaped domain.  The sum
+
+        w_any*g*1{in1|in2} + in1*(w_avg*g/2 + w_one*e1/2)
+                           + in2*(w_avg*g/2 + w_one*e2/2),  g = e1*e2,
+
+    is formed in place, in that order; the inputs are never written.
     """
     _require_independent(spec)
     za = alpha_lines(spec.alpha)[0]
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    e1, e2 = _lr_pair_z(spec, z1, z2)
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=float),
+                                 np.asarray(z2, dtype=float))
+    shape = z1.shape
+    z1, z2 = z1.reshape(-1), z2.reshape(-1)
+    e1, e2 = _lr_z(spec.model.theta1, z1), _lr_z(spec.model.theta2, z2)
     in1 = z1 <= za
     in2 = z2 <= za
     g = e1 * e2
-    s = spec.w_any * g * (in1 | in2)
-    s = s + in1 * (spec.w_avg * g / 2.0 + spec.w_one * e1 / 2.0)
-    s = s + in2 * (spec.w_avg * g / 2.0 + spec.w_one * e2 / 2.0)
-    return s
+    s = np.multiply(spec.w_any, g)
+    s *= in1 | in2
+    half_avg = np.multiply(spec.w_avg, g, out=g)
+    half_avg /= 2.0
+    for e, ind in ((e1, in1), (e2, in2)):
+        e *= spec.w_one
+        e /= 2.0
+        np.add(half_avg, e, out=e)
+        e *= ind
+        s += e
+    return s.reshape(shape) if shape else s[0]
 
 
 def score_pieces(spec: ObjectiveSpec) -> tuple[tuple[float, float, float], ...]:

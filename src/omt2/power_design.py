@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateVariance, DomainError, Unachievable
 from .gauss import (AlternativeModel, alpha_lines, std_normal_cdf,
                     std_normal_quantile)
@@ -194,7 +196,9 @@ def mc_power(proc: Procedure, model: AlternativeModel,
     """
     def ev_alt(z1, z2):
         d1, d2 = proc.decide_z(z1, z2)
-        return d1 | d2, 0.5 * (d1.astype(float) + d2.astype(float))
+        avg = np.add(d1, d2, dtype=float)
+        avg *= 0.5
+        return d1 | d2, avg
 
     (pany, se_any), (pavg, se_avg) = mc_estimate(ev_alt, model, cfg)
     m1, se1 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[0],

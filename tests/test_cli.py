@@ -130,6 +130,25 @@ class TestPowerCommand:
                        "--theta1", "-2", "--theta2", "-2"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--proc", "hommel", "--procedures", "all", "--theta1", "-2", "--theta2", "-2"],
+        ["--proc", "hommel", "--marginal-power", "0.85", "--theta1", "-1",
+         "--theta2", "-1"],
+        ["--proc", "hommel", "--marginal-power", "0.85", "--theta1", "-1"],
+        ["--proc", "hommel", "--design-arm", "1200", "--theta2", "-1"],
+        ["--procedures", "all", "--design-arm", "1200", "--marginal-power", "0.85"],
+    ])
+    def test_conflicting_flags_are_config_error(self, argv, capsys):
+        assert run(["power", *argv]) == (2, "")
+        assert capsys.readouterr().err.startswith("configuration error: give ")
+
+    def test_conflict_from_config_file(self, tmp_path):
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text("proc = hommel\ntheta1 = -2\ntheta2 = -2\n")
+        assert run(["power", "--config", str(cfg), "--procedures", "all"]) == (2, "")
+        assert run(["power", "--config", str(cfg), "--design-arm", "1200"]) == (2, "")
+        assert run(["power", "--config", str(cfg)])[0] == 0
+
 
 class TestAllocateCommand:
     def test_any_prefers_extremes(self, tmp_path):
@@ -441,21 +460,44 @@ class TestMeasureNames:
         assert run(argv + ["pi_everything"]) == (2, "")
 
 
+def python_m_omt2():
+    """argv and env that run ``python -m omt2`` on the omt2 under test."""
+    import os
+    import sys
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return [sys.executable, "-m", "omt2"], env
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_early_exits_quietly(self, unbuffered):
+        import subprocess
+        exe, env = python_m_omt2()
+        env["PYTHONUNBUFFERED"] = unbuffered
+        # 65,537 CSV lines are far more than a pipe holds, so the writer
+        # is still writing when the reader goes away
+        child = subprocess.Popen(exe + ["region", "--proc", "hommel", "--out", "-"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=env)
+        assert child.stdout.readline() == b"z1,z2,class\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+        assert err == b""
+
+
 class TestInstalledEntryPoint:
     @pytest.mark.parametrize("entry", ["console-script", "python-m"])
     def test_console_script_deterministic(self, entry):
-        import os
         import shutil
         import subprocess
-        import sys
         env = None
         if entry == "python-m":
             # the entry the benchmark's cli workload runs, importing the
             # same omt2 as this test session
-            exe = [sys.executable, "-m", "omt2"]
-            src = os.path.dirname(os.path.dirname(cli_mod.__file__))
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            exe, env = python_m_omt2()
         else:
             exe = [shutil.which("omt2")]
             if exe[0] is None:

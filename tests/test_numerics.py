@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import omt2.numerics
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
-                  QuadratureConfig, bisect, hommel, mc_estimate,
-                  std_normal_cdf, std_normal_quantile)
+                  ObjectiveSpec, QuadratureConfig, bisect, build_omt, hommel,
+                  mc_estimate, normal_pairs, std_normal_cdf,
+                  std_normal_quantile)
 from omt2.numerics import (MaxIterations, leggauss, panel_nodes, splitmix64,
                            uniforms)
 
@@ -163,3 +165,103 @@ class TestMcEstimate:
     def test_reps_floor(self):
         with pytest.raises(DomainError):
             McConfig(reps=100)
+
+
+def whole_sample_mc_estimate(event, model, cfg):
+    """Reference engine: one draw and one event call on the whole sample."""
+    u = uniforms(cfg.seed, 0, 2 * cfg.reps)
+    zz1 = std_normal_quantile(u[:cfg.reps])
+    zz2 = std_normal_quantile(u[cfg.reps:])
+    z1 = model.theta1 + zz1
+    z2 = model.theta2 + model.rho * zz1 + math.sqrt(1.0 - model.rho**2) * zz2
+    out = event(z1, z2)
+    pairs = []
+    for arr in out if isinstance(out, tuple) else (out,):
+        vals = np.asarray(arr, dtype=float)
+        pairs.append((float(vals.mean()),
+                      float(vals.std(ddof=1) / math.sqrt(cfg.reps))))
+    return pairs if isinstance(out, tuple) else pairs[0]
+
+
+@pytest.fixture()
+def fresh_draws():
+    """Empty the draw cache around a test that changes the block size."""
+    normal_pairs.cache_clear()
+    yield
+    normal_pairs.cache_clear()
+
+
+class TestBlockedEngine:
+    """The engine walks the sample in blocks; no returned bit may depend
+    on the block size."""
+
+    CFG = McConfig(reps=20_000, seed=31337)
+
+    @pytest.fixture(scope="class")
+    def omt_rule(self):
+        spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.5, -3.0), ALPHA)
+        return build_omt(spec, QuadratureConfig())
+
+    @staticmethod
+    def events(rule):
+        def alt(z1, z2):
+            d1, d2 = rule.decide_z(z1, z2)
+            return d1 | d2, 0.5 * (d1.astype(float) + d2.astype(float))
+        return {"single": lambda z1, z2: rule.decide_z(z1, z2)[0],
+                "float": lambda z1, z2: np.minimum(z1, z2),
+                "tuple": alt}
+
+    @staticmethod
+    def recorder(pairs):
+        def ev(z1, z2):
+            pairs.append((z1, z2))
+            return z1
+        return ev
+
+    @pytest.mark.parametrize("block", [4096, 3000, 1 << 20, None])
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_block_size_leaves_estimates_unchanged(self, block, rho, omt_rule,
+                                                   fresh_draws, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(omt2.numerics, "_BLOCK", block)
+        model = AlternativeModel(-2.0, -2.5, rho)
+        # omt rules score independent models only
+        rule = omt_rule if rho == 0.0 else hommel(ALPHA)
+        for name, ev in self.events(rule).items():
+            assert (mc_estimate(ev, model, self.CFG)
+                    == whole_sample_mc_estimate(ev, model, self.CFG)), name
+        # the pairs the event sees, bit for bit
+        seen, want = [], []
+        mc_estimate(self.recorder(seen), model, self.CFG)
+        whole_sample_mc_estimate(self.recorder(want), model, self.CFG)
+        for k in (0, 1):
+            assert (np.concatenate([pair[k] for pair in seen]).tobytes()
+                    == want[0][k].tobytes())
+
+    def test_event_sees_blocks(self, fresh_draws, monkeypatch):
+        monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
+        sizes = []
+
+        def ev(z1, z2):
+            sizes.append(len(z1))
+            return z1 <= 0.0
+        mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=10_001))
+        assert sizes == [3000, 3000, 3000, 1001]
+
+    @pytest.mark.parametrize("block, reps", [(None, 70_001), (3000, 10_001)])
+    def test_blocked_draws_match_one_stream(self, block, reps, fresh_draws,
+                                            monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(omt2.numerics, "_BLOCK", block)
+        z = std_normal_quantile(uniforms(5, 0, 2 * reps))
+        zz1, zz2 = normal_pairs(5, reps)
+        assert np.array_equal(zz1, z[:reps]) and np.array_equal(zz2, z[reps:])
+
+    def test_cached_draws_are_read_only(self):
+        zz1, zz2 = normal_pairs(11, 10_000)
+        for zz in (zz1, zz2):
+            with pytest.raises(ValueError):
+                zz[0] = 0.0
+            with pytest.raises(ValueError):
+                zz += 1.0
+        assert normal_pairs(11, 10_000)[0] is zz1

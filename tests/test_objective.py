@@ -8,6 +8,8 @@ import pytest
 from omt2 import (AlternativeModel, DomainError, ObjectiveSpec,
                   UnsupportedModel, combo_any_one, lr_density, pure_any,
                   pure_avg, pure_one, score, score_pieces, score_z)
+from omt2.gauss import alpha_lines
+from omt2.power_design import MEASURE_WEIGHTS
 
 ALPHA = 0.025
 MODEL = AlternativeModel(-2.0, -2.0)
@@ -143,3 +145,57 @@ class TestScore:
             score(spec, (0.0, 0.5))
         with pytest.raises(DomainError):
             score(spec, (0.5, 1.0))
+
+
+def expression_score_z(spec, z1, z2):
+    """The score as one out-of-place expression, term by term in the
+    order `score_z` forms it in place."""
+    za = alpha_lines(spec.alpha)[0]
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    t1, t2 = spec.model.theta1, spec.model.theta2
+    e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
+    e2 = np.exp(t2 * z2 - 0.5 * t2 * t2)
+    in1 = z1 <= za
+    in2 = z2 <= za
+    g = e1 * e2
+    s = spec.w_any * g * (in1 | in2)
+    s = s + in1 * (spec.w_avg * g / 2.0 + spec.w_one * e1 / 2.0)
+    s = s + in2 * (spec.w_avg * g / 2.0 + spec.w_one * e2 / 2.0)
+    return s
+
+
+class TestScoreInPlace:
+    WEIGHTS = [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5), (0.0, 0.5, 0.5)]
+    SPEC_MODEL = AlternativeModel(-2.5, -3.5)
+
+    def inputs(self, rng):
+        za = alpha_lines(ALPHA)[0]
+        # both sides of the alpha line, the line itself, and shifts large
+        # enough that exp overflows (inf * 0 terms give nan)
+        z = np.concatenate([rng.uniform(-9.0, 6.0, 60), [za, -300.0, 300.0]])
+        z2d = rng.uniform(-9.0, 6.0, (2, 3, 7)).reshape(6, 7)
+        return [(-1.7, -2.4), (za, 2.0),
+                (np.array(-2.1), np.array(-1.9)),
+                (z, rng.permutation(z)), (z2d, z2d[::-1]),
+                (z[:7], z2d), (-2.2, z)]
+
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_bits_match_expression(self, w, rng):
+        spec = ObjectiveSpec(*w, self.SPEC_MODEL, ALPHA)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z1, z2 in self.inputs(rng):
+                got = score_z(spec, z1, z2)
+                want = expression_score_z(spec, z1, z2)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_inputs_are_not_written(self, rng):
+        spec = ObjectiveSpec(0.2, 0.3, 0.5, self.SPEC_MODEL, ALPHA)
+        z1, z2 = rng.uniform(-6.0, 2.0, (2, 500))
+        kept = z1.copy(), z2.copy()
+        z1.setflags(write=False)
+        z2.setflags(write=False)
+        score_z(spec, z1, z2)
+        assert np.array_equal(z1, kept[0]) and np.array_equal(z2, kept[1])

@@ -9,7 +9,8 @@ from scipy.stats import norm
 
 import omt2.power_design
 from omt2 import (AlternativeModel, DegenerateVariance, DomainError,
-                  McConfig, Procedure, TwoArmDesign, Unachievable,
+                  McConfig, ObjectiveSpec, Procedure, TwoArmDesign,
+                  Unachievable,
                   allocation_search, bonferroni, build_bittman, build_omt,
                   closed_stouffer, combo_any_one, evaluate_power,
                   fixed_sequence, hommel,
@@ -191,6 +192,26 @@ class TestEvaluatePower:
                  McConfig(reps=20_000, seed=5))
         # one pass on the alternative, one per semi-null
         assert calls == {"decide_z": 3, "mc_estimate": 3}
+
+    def test_mc_power_decides_each_replication_once(self, monkeypatch, mc_cfg):
+        # blocked: many decide_z calls, but one decision per replication
+        # on the alternative and on each semi-null
+        sizes = []
+        decide_z = Procedure.decide_z
+
+        def recorded(self, z1, z2):
+            sizes.append(z1.size)
+            return decide_z(self, z1, z2)
+        monkeypatch.setattr(Procedure, "decide_z", recorded)
+        mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5), mc_cfg)
+        assert mc_cfg.reps == 1_000_000 and sum(sizes) == 3 * mc_cfg.reps
+
+    def test_mc_power_repeats_on_cached_draws(self, quad_cfg):
+        spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.0, -2.5), ALPHA)
+        rule = build_omt(spec, quad_cfg)
+        cfg = McConfig(reps=100_000, seed=8)
+        first = mc_power(rule, spec.model, cfg)
+        assert mc_power(rule, spec.model, cfg) == first
 
 
 class TestQuadratureMcAgreement:
