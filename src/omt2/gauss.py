@@ -1,4 +1,4 @@
-"""Scalar normal kernels and the p-value likelihood-ratio density.
+"""Scalar normal kernels, the alternative model and the level domain.
 
 Conventions used throughout the package:
 
@@ -8,9 +8,10 @@ Conventions used throughout the package:
 - An alternative with mean shift ``theta < 0`` generates
   ``p = Phi(theta + Z)`` with ``Z ~ N(0, 1)``.  The density of such a
   p-value relative to the uniform null is
-  ``exp(quantile(p) * theta - theta**2 / 2)`` (`lr_density`), which is
-  strictly decreasing in p for ``theta < 0`` (monotone likelihood
-  ratio).
+  ``exp(quantile(p) * theta - theta**2 / 2)``, which is strictly
+  decreasing in p for ``theta < 0`` (monotone likelihood ratio).
+- Every level alpha lies in (0, 0.5]; `check_alpha` is the one test of
+  that domain.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "alpha_lines",
-    "lr_density",
+    "check_alpha",
 ]
 
 # Smallest p-value accepted by decision rules before transforming to a
@@ -58,10 +59,6 @@ class AlternativeModel:
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must be in (-1, 1), got {self.rho!r}")
 
-    @property
-    def thetas(self) -> tuple[float, float]:
-        return (self.theta1, self.theta2)
-
 
 def std_normal_cdf(z):
     """Standard normal CDF (scipy's ``ndtr``), accurate to ~1e-16.
@@ -87,6 +84,13 @@ def std_normal_quantile(u):
     return float(ndtri(arr)) if arr.ndim == 0 else ndtri(arr)
 
 
+def check_alpha(alpha) -> float:
+    """alpha as a float; DomainError unless it is a number in (0, 0.5]."""
+    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 0.5):
+        raise DomainError(f"alpha must be in (0, 0.5], got {alpha!r}")
+    return float(alpha)
+
+
 @functools.lru_cache
 def alpha_lines(alpha: float) -> tuple[float, float]:
     """The two z-lines every rule is drawn on: (quantile(alpha),
@@ -96,19 +100,6 @@ def alpha_lines(alpha: float) -> tuple[float, float]:
     Procedure at every step, and each asks for these lines again.
     """
     return std_normal_quantile(alpha), std_normal_quantile(alpha / 2.0)
-
-
-def lr_density(p, theta: float):
-    """Density at ``p`` of a p-value generated by ``Phi(theta + Z)``.
-
-    Equals ``exp(quantile(p)*theta - theta**2/2)``, the likelihood
-    ratio of the shifted alternative against the uniform null.  Only
-    defined on the open interval (0, 1).
-    """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
-    z = std_normal_quantile(p)
-    return np.exp(z * theta - 0.5 * theta * theta)
 
 
 _P_MAX = float(np.nextafter(1.0, 0.0))

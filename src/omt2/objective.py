@@ -5,8 +5,8 @@ A power objective over decisions (d1, d2) with d3 = max(d1, d2) is
     Pi(D) = integral of  d1*a1(p) + d2*a2(p) + d3*a3(p)  dp
 
 with objective-specific coefficients a_i.  For a point alternative with
-independent p-values and per-coordinate shift densities
-``lr_i = lr_density(p_i, theta_i)``:
+independent p-values and per-coordinate likelihood ratios
+``lr_i = exp(quantile(p_i)*theta_i - theta_i^2/2)``:
 
 - at-least-one-true-discovery ("any"):   a1 = a2 = 0,  a3 = lr1*lr2
 - expected average discoveries ("avg"):  a1 = a2 = lr1*lr2 / 2,  a3 = 0
@@ -45,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .gauss import AlternativeModel, alpha_lines, std_normal_quantile
+from .gauss import AlternativeModel, alpha_lines, check_alpha
 
-__all__ = ["ObjectiveSpec", "pure_any", "pure_avg", "pure_one", "combo_any_one",
-           "score", "score_z", "score_pieces"]
+__all__ = ["ObjectiveSpec", "score_z", "score_pieces"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -74,8 +73,7 @@ class ObjectiveSpec:
             raise DomainError(f"objective weights must lie in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"objective weights must sum to 1, got {w}")
-        if not 0.0 < self.alpha <= 0.5:
-            raise DomainError(f"alpha must be in (0, 0.5], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not (self.model.theta1 < 0 and self.model.theta2 < 0):
             raise DomainError(
                 "score alternatives need strictly negative shifts, got "
@@ -84,29 +82,6 @@ class ObjectiveSpec:
     @property
     def weights(self) -> tuple[float, float, float]:
         return (self.w_any, self.w_avg, self.w_one)
-
-
-def pure_any(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
-    return ObjectiveSpec(1.0, 0.0, 0.0, model, alpha)
-
-
-def pure_avg(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
-    return ObjectiveSpec(0.0, 1.0, 0.0, model, alpha)
-
-
-def pure_one(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
-    return ObjectiveSpec(0.0, 0.0, 1.0, model, alpha)
-
-
-def combo_any_one(model: AlternativeModel, alpha: float) -> ObjectiveSpec:
-    """Pi_any/3 + 2*Pi_1/3."""
-    return ObjectiveSpec(1.0 / 3.0, 0.0, 2.0 / 3.0, model, alpha)
-
-
-def _check_p(p1, p2) -> None:
-    a1, a2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
-    if np.any(a1 <= 0) or np.any(a1 >= 1) or np.any(a2 <= 0) or np.any(a2 >= 1):
-        raise DomainError("p-values must lie in the open unit square")
 
 
 def _lr_z(theta: float, z: np.ndarray) -> np.ndarray:
@@ -163,10 +138,3 @@ def score_pieces(spec: ObjectiveSpec) -> tuple[tuple[float, float, float], ...]:
     return ((w_any + w_avg, w_one / 2.0, w_one / 2.0),
             (w_any + w_avg / 2.0, w_one / 2.0, 0.0),
             (w_any + w_avg / 2.0, 0.0, w_one / 2.0))
-
-
-def score(spec: ObjectiveSpec, p: tuple[float, float]) -> float:
-    """Score s(p) driving the optimal-procedure construction."""
-    p1, p2 = p
-    _check_p(p1, p2)
-    return float(score_z(spec, std_normal_quantile(p1), std_normal_quantile(p2)))

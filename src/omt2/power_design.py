@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, Unachievable
-from .gauss import (AlternativeModel, alpha_lines, std_normal_cdf,
-                    std_normal_quantile)
+from .gauss import (AlternativeModel, alpha_lines, check_alpha,
+                    std_normal_cdf, std_normal_quantile)
 from .numerics import McConfig, QuadratureConfig, mc_estimate
 from .objective import ObjectiveSpec
 from .procedures import Procedure, build_omt, hommel, region_mass
@@ -40,8 +40,8 @@ __all__ = [
 
 MEASURES = ("pi_avg", "pi_any", "pi_1", "pi_combo")
 
-# objective weights (w_any, w_avg, w_one) under which the objective is
-# the measure itself
+# the one table of objective weights (w_any, w_avg, w_one) under which
+# the objective is the measure itself
 MEASURE_WEIGHTS = {
     "pi_avg": (0.0, 1.0, 0.0),
     "pi_any": (1.0, 0.0, 0.0),
@@ -130,8 +130,7 @@ def observed_pvalue(events_control: int, n_control: int,
 
 def theta_from_marginal_power(beta: float, alpha: float) -> float:
     """Shift giving single-test power beta at one-sided level alpha."""
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must be in (0, 0.5), got {alpha!r}")
+    alpha = check_alpha(alpha)
     if not alpha <= beta < 1.0:
         raise DomainError(f"beta must be in [alpha, 1), got {beta!r}")
     return alpha_lines(alpha)[0] - std_normal_quantile(beta)
@@ -252,6 +251,7 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
     funded group alone at full level alpha.
     """
     cfg = cfg or QuadratureConfig()
+    alpha = check_alpha(alpha)
     if not r_grid:
         raise DomainError("r_grid must be nonempty")
     grid = sorted(float(r) for r in r_grid)

@@ -40,8 +40,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, ToleranceNotMet
-from .gauss import (AlternativeModel, alpha_lines, clamp_pvalue,
-                    std_normal_quantile)
+from .gauss import (AlternativeModel, alpha_lines, check_alpha,
+                    clamp_pvalue, std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, panel_nodes
 from .objective import ObjectiveSpec, score_pieces, score_z
 
@@ -69,12 +69,6 @@ _KINDS = {"bonferroni": (), "hommel": (), "closed_stouffer": ("t_sum",),
           "bittman": ("t_sum",), "fixed_sequence": (), "omt": ("spec", "t_score")}
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 0.5):
-        raise DomainError(f"alpha must be in (0, 0.5], got {alpha!r}")
-    return float(alpha)
-
-
 @dataclass(frozen=True)
 class Procedure:
     """A level-alpha decision rule p -> (d1, d2).
@@ -94,7 +88,7 @@ class Procedure:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown procedure kind {self.kind!r}")
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         given = tuple(f for f in ("t_sum", "spec", "t_score")
                       if getattr(self, f) is not None)
         if given != _KINDS[self.kind]:
@@ -191,7 +185,7 @@ def hommel(alpha: float) -> Procedure:
 
 
 def closed_stouffer(alpha: float) -> Procedure:
-    a = _check_alpha(alpha)
+    a = check_alpha(alpha)
     return Procedure("closed_stouffer", a,
                      t_sum=math.sqrt(2.0) * alpha_lines(a)[0])
 
@@ -203,9 +197,7 @@ def fixed_sequence(alpha: float) -> Procedure:
 def hommel_coincidence_bound(alpha: float) -> float:
     """Shift below which the optimal one-false-null rule stops matching
     hommel: -log(2) / (quantile(alpha) - quantile(alpha/2))."""
-    if not 0.0 < alpha < 0.5:
-        raise DomainError(f"alpha must be in (0, 0.5), got {alpha!r}")
-    za, zh = alpha_lines(alpha)
+    za, zh = alpha_lines(check_alpha(alpha))
     return -math.log(2.0) / (za - zh)
 
 
@@ -309,7 +301,7 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
     returns the sum-rule procedure at that threshold; the solution is
     strictly above sqrt(2)*quantile(alpha) for alpha < 0.5.
     """
-    a = _check_alpha(alpha)
+    a = check_alpha(alpha)
     cfg = cfg or QuadratureConfig()
     lo = math.sqrt(2.0) * alpha_lines(a)[0]
 

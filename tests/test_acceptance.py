@@ -24,12 +24,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
-from omt2 import (AlternativeModel, McConfig, ObjectiveSpec, QuadratureConfig,
-                  bonferroni, build_bittman, build_omt, closed_stouffer,
-                  combo_any_one, evaluate_power, fixed_sequence, fwer_global,
+from conftest import measure_spec, record_criterion
+from omt2 import (MEASURE_WEIGHTS, AlternativeModel, McConfig,
+                  QuadratureConfig, bonferroni, build_bittman, build_omt,
+                  closed_stouffer, evaluate_power, fixed_sequence, fwer_global,
                   hommel, hommel_coincidence_bound, mc_estimate, mc_power,
-                  observed_pvalue, pure_any, pure_avg, pure_one, region_mass,
+                  observed_pvalue, region_mass,
                   region_symmetric_difference, savings_report,
                   std_normal_cdf, std_normal_quantile, theta_for_group,
                   theta_from_marginal_power, allocation_search)
@@ -55,14 +55,6 @@ BENCHMARK_TABLE = {
 }
 BENCHMARK_ROW_MAX = {"pi_avg": 0, "pi_any": 0, "pi_1": 1, "pi_combo": 2}
 
-MEASURE_WEIGHTS = {
-    "pi_any": (1.0, 0.0, 0.0),
-    "pi_avg": (0.0, 1.0, 0.0),
-    "pi_1": (0.0, 0.0, 1.0),
-    "pi_combo": (1.0 / 3.0, 0.0, 2.0 / 3.0),
-}
-
-
 @pytest.fixture(scope="module")
 def qcfg():
     return QuadratureConfig()
@@ -81,11 +73,11 @@ def exact_level_state(qcfg, mcc):
     max_quad_dev = 0.0
     max_mc_z = 0.0
     procs = []
-    for maker in (pure_any, pure_avg, pure_one):
+    for measure in ("pi_any", "pi_avg", "pi_1"):
         for th1 in thetas:
             for th2 in thetas:
-                procs.append(build_omt(maker(AlternativeModel(th1, th2), ALPHA),
-                                       qcfg))
+                spec = measure_spec(measure, AlternativeModel(th1, th2), ALPHA)
+                procs.append(build_omt(spec, qcfg))
     procs.append(build_bittman(ALPHA, qcfg))
     null = AlternativeModel(0.0, 0.0)
     for proc in procs:
@@ -107,9 +99,9 @@ def hommel_equiv_state(qcfg):
     h = hommel(ALPHA)
     window = {}
     for th in (-1.0, -2.0, -2.4):
-        proc = build_omt(pure_one(AlternativeModel(th, th), ALPHA), qcfg)
+        proc = build_omt(measure_spec("pi_1", AlternativeModel(th, th), ALPHA), qcfg)
         window[th] = region_symmetric_difference(proc, h, qcfg)
-    p29 = build_omt(pure_one(AlternativeModel(-2.9, -2.9), ALPHA), qcfg)
+    p29 = build_omt(measure_spec("pi_1", AlternativeModel(-2.9, -2.9), ALPHA), qcfg)
     departure = region_symmetric_difference(p29, h, qcfg)
     ok_window = (abs(bound - (-2.46)) <= 0.01
                  and all(d < 1e-6 for d in window.values()))
@@ -123,7 +115,8 @@ def bittman_equiv_state(qcfg):
     b = build_bittman(ALPHA, qcfg)
     diffs = {}
     for th in (-2.0, -3.0):
-        proc = build_omt(pure_any(AlternativeModel(th, th), ALPHA), qcfg)
+        proc = build_omt(measure_spec("pi_any", AlternativeModel(th, th), ALPHA),
+                         qcfg)
         diffs[th] = region_symmetric_difference(proc, b, qcfg)
     strict = b.t_sum > math.sqrt(2.0) * ZA
     ok = strict and all(d < 1e-6 for d in diffs.values())
@@ -138,8 +131,8 @@ def dominance_state(qcfg):
     for th1 in thetas:
         for th2 in thetas:
             model = AlternativeModel(th1, th2)
-            omts = {m: build_omt(ObjectiveSpec(*w, model, ALPHA), qcfg)
-                    for m, w in MEASURE_WEIGHTS.items()}
+            omts = {m: build_omt(measure_spec(m, model, ALPHA), qcfg)
+                    for m in MEASURE_WEIGHTS}
             pool = list(omts.values()) + [
                 hommel(ALPHA), closed_stouffer(ALPHA),
                 build_bittman(ALPHA, qcfg), fixed_sequence(ALPHA),
@@ -237,9 +230,9 @@ class TestCriterion6:
 
         def table_at(th):
             model = AlternativeModel(th, th)
-            cols = (build_omt(pure_any(model, ALPHA), qcfg),
-                    build_omt(pure_one(model, ALPHA), qcfg),
-                    build_omt(combo_any_one(model, ALPHA), qcfg),
+            cols = (build_omt(measure_spec("pi_any", model, ALPHA), qcfg),
+                    build_omt(measure_spec("pi_1", model, ALPHA), qcfg),
+                    build_omt(measure_spec("pi_combo", model, ALPHA), qcfg),
                     closed_stouffer(ALPHA), hommel(ALPHA))
             reports = [evaluate_power(p, model, qcfg) for p in cols]
             return {m: tuple(rep.get(m) for rep in reports)
@@ -295,8 +288,8 @@ class TestCriterion6:
     def test_avg_any_columns_coincide(self, qcfg):
         th = theta_from_marginal_power(0.85, ALPHA)
         model = AlternativeModel(th, th)
-        pa = build_omt(pure_avg(model, ALPHA), qcfg)
-        pb = build_omt(pure_any(model, ALPHA), qcfg)
+        pa = build_omt(measure_spec("pi_avg", model, ALPHA), qcfg)
+        pb = build_omt(measure_spec("pi_any", model, ALPHA), qcfg)
         assert region_symmetric_difference(pa, pb, qcfg) < 1e-6
 
 
@@ -382,9 +375,9 @@ class TestCriterion9:
             "closed_stouffer": closed_stouffer(ALPHA),
             "fixed_sequence": fixed_sequence(ALPHA),
             "bittman": build_bittman(ALPHA, qcfg),
-            "omt_one": build_omt(pure_one(model, ALPHA), qcfg),
-            "omt_any": build_omt(pure_any(model, ALPHA), qcfg),
-            "omt_combo": build_omt(combo_any_one(model, ALPHA), qcfg),
+            "omt_one": build_omt(measure_spec("pi_1", model, ALPHA), qcfg),
+            "omt_any": build_omt(measure_spec("pi_any", model, ALPHA), qcfg),
+            "omt_combo": build_omt(measure_spec("pi_combo", model, ALPHA), qcfg),
         }
 
         # weak monotonicity: 10^4 ordered pairs per rule
@@ -467,9 +460,9 @@ class TestCriterion10:
         th1 = theta_for_group(3870, *RATES)   # 1956 + 1914 persons
         th2 = theta_for_group(2416, *RATES)   # 1218 + 1198 persons
         model = AlternativeModel(th1, th2)
-        cols = (build_omt(pure_any(model, ALPHA), qcfg),
-                build_omt(pure_one(model, ALPHA), qcfg),
-                build_omt(combo_any_one(model, ALPHA), qcfg),
+        cols = (build_omt(measure_spec("pi_any", model, ALPHA), qcfg),
+                build_omt(measure_spec("pi_1", model, ALPHA), qcfg),
+                build_omt(measure_spec("pi_combo", model, ALPHA), qcfg),
                 closed_stouffer(ALPHA), hommel(ALPHA))
         reports = [evaluate_power(p, model, qcfg) for p in cols]
         table = {m: tuple(rep.get(m) for rep in reports)

@@ -59,6 +59,14 @@ class TestRegionCommand:
                        "--theta2", "-2"])
         assert code == 2
 
+    def test_bittman_prints_solved_z_sum(self):
+        from omt2 import build_bittman
+        code, out = run(["region", "--proc", "bittman", "--grid", "16",
+                         "--out", "-"])
+        assert code == 0
+        t_sum = build_bittman(0.025).t_sum
+        assert f"\nz-sum threshold = {t_sum:.6g}\n" in out
+
     def test_infinite_z_range_is_config_error(self):
         code, out = run(["region", "--proc", "hommel", "--z-hi", "inf",
                          "--grid", "16", "--out", "-"])
@@ -120,6 +128,12 @@ class TestPowerCommand:
         code, out = run(["power", "--proc", "hommel", "--design-arm", "1200"])
         assert code == 0
         assert "theta = (-2.67277, -2.67277)" in out
+
+    def test_alpha_half_is_a_valid_level(self):
+        code, out = run(["power", "--proc", "hommel", "--marginal-power",
+                         "0.85", "--alpha", "0.5"])
+        assert code == 0
+        assert out.startswith("alpha = 0.5  theta = ")
 
     def test_requires_thetas(self):
         code, _ = run(["power", "--proc", "hommel"])
@@ -184,6 +198,12 @@ class TestAllocateCommand:
     def test_bad_grid_value(self, grid):
         code, _ = run(["allocate", "--N", "600", "--grid", grid])
         assert code == 2
+
+    def test_alpha_checked_when_every_split_is_degenerate(self, capsys):
+        assert run(["allocate", "--N", "100", "--grid", "0,1", "--alpha",
+                    "0.7", "--out", "-"]) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "configuration error: alpha must be in (0, 0.5], ")
 
 
 class TestApexCommand:

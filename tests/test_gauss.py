@@ -7,9 +7,9 @@ import pytest
 from mpmath import mp
 from scipy.integrate import dblquad, quad
 
+from conftest import lr_density
 from omt2 import (AlternativeModel, DomainError, QuadratureConfig, bonferroni,
-                  fwer_global, hommel, lr_density, std_normal_cdf,
-                  std_normal_quantile)
+                  fwer_global, hommel, std_normal_cdf, std_normal_quantile)
 
 
 def mp_quantile(u: float, dps: int = 50) -> float:
@@ -209,4 +209,4 @@ class TestAlternativeModel:
     def test_defaults_independent(self):
         m = AlternativeModel(-2.0, -3.0)
         assert m.rho == 0.0
-        assert m.thetas == (-2.0, -3.0)
+        assert (m.theta1, m.theta2) == (-2.0, -3.0)

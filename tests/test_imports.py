@@ -1,0 +1,58 @@
+"""Every module the package and its tests import is declared somewhere.
+
+A top-level import must be a standard-library module, ``omt2`` itself,
+a module of this test directory, or the import name of a distribution
+listed in ``pyproject.toml`` (``dependencies`` or the ``test`` extra).
+A package that merely happens to be installed does not count.
+"""
+
+import ast
+import importlib.metadata
+import pathlib
+import re
+import sys
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")   # standard library from 3.11
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
+SOURCES = (ROOT / "src" / "omt2", TESTS)
+
+
+def top_level_imports(path: pathlib.Path) -> set[str]:
+    """First component of each absolute import in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _dist_key(name: str) -> str:
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def declared_distributions() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {_dist_key(re.match(r"[A-Za-z0-9_.-]+", r).group()) for r in reqs}
+
+
+def test_every_import_is_declared():
+    declared = declared_distributions()
+    providers = importlib.metadata.packages_distributions()
+    local = {"omt2"} | {p.stem for p in TESTS.rglob("*.py")}
+    undeclared = []
+    for folder in SOURCES:
+        for path in sorted(folder.rglob("*.py")):
+            for name in sorted(top_level_imports(path)):
+                if name in sys.stdlib_module_names or name in local:
+                    continue
+                dists = {_dist_key(d) for d in providers.get(name, [name])}
+                if not dists & declared:
+                    undeclared.append(f"{path.relative_to(ROOT)}: {name}")
+    assert undeclared == []

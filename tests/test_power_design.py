@@ -8,13 +8,12 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 import omt2.power_design
-from omt2 import (AlternativeModel, DegenerateVariance, DomainError,
-                  McConfig, ObjectiveSpec, Procedure, TwoArmDesign,
-                  Unachievable,
-                  allocation_search, bonferroni, build_bittman, build_omt,
-                  closed_stouffer, combo_any_one, evaluate_power,
-                  fixed_sequence, hommel,
-                  mc_power, observed_pvalue, pure_any, pure_avg, pure_one,
+from conftest import measure_spec
+from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DegenerateVariance,
+                  DomainError, McConfig, ObjectiveSpec, Procedure,
+                  TwoArmDesign, Unachievable, allocation_search, bonferroni,
+                  build_bittman, build_omt, closed_stouffer, evaluate_power,
+                  fixed_sequence, hommel, mc_power, observed_pvalue,
                   required_n_for_power, savings_report, std_normal_cdf,
                   std_normal_quantile, theta_for_group, theta_from_design,
                   theta_from_marginal_power)
@@ -102,8 +101,9 @@ class TestMarginalPowerCalibration:
     def test_domain(self):
         with pytest.raises(DomainError):
             theta_from_marginal_power(1.0, 0.025)
-        with pytest.raises(DomainError):
-            theta_from_marginal_power(0.9, 0.6)
+        for alpha in (0.6, "0.025"):
+            with pytest.raises(DomainError):
+                theta_from_marginal_power(0.85, alpha)
 
 
 class TestEvaluatePower:
@@ -223,9 +223,10 @@ class TestQuadratureMcAgreement:
             "bonferroni": bonferroni(ALPHA),
             "fixed_sequence": fixed_sequence(ALPHA),
             "bittman": build_bittman(ALPHA, quad_cfg),
-            "omt_one": build_omt(pure_one(model, ALPHA), quad_cfg),
-            "omt_any": build_omt(pure_any(model, ALPHA), quad_cfg),
-            "omt_combo": build_omt(combo_any_one(model, ALPHA), quad_cfg),
+            "omt_one": build_omt(measure_spec("pi_1", model, ALPHA), quad_cfg),
+            "omt_any": build_omt(measure_spec("pi_any", model, ALPHA), quad_cfg),
+            "omt_combo": build_omt(measure_spec("pi_combo", model, ALPHA),
+                                   quad_cfg),
         }
         for name, proc in procs.items():
             rep = evaluate_power(proc, model, quad_cfg)
@@ -240,13 +241,11 @@ class TestOptimalityDominance:
         """Across the shift panel, the rule built for a measure attains
         the panel maximum of that measure (margin 1e-6)."""
         thetas = (-1.0, -2.0, -3.0)
-        makers = {"pi_any": pure_any, "pi_avg": pure_avg, "pi_1": pure_one,
-                  "pi_combo": combo_any_one}
         for th1 in thetas:
             for th2 in thetas:
                 model = AlternativeModel(th1, th2)
-                omts = {m: build_omt(mk(model, ALPHA), quad_cfg)
-                        for m, mk in makers.items()}
+                omts = {m: build_omt(measure_spec(m, model, ALPHA), quad_cfg)
+                        for m in MEASURE_WEIGHTS}
                 competitors = list(omts.values()) + [
                     hommel(ALPHA), closed_stouffer(ALPHA),
                     build_bittman(ALPHA, quad_cfg), fixed_sequence(ALPHA),
@@ -287,11 +286,9 @@ class TestAllocation:
         assert res.reports[-1].pi_any == pytest.approx(bound, abs=1e-9)
 
     def test_strong_signal_prefers_even_split(self, quad_cfg):
-        for weights, measure in (((0.0, 1.0, 0.0), "pi_avg"),
-                                 ((0.0, 0.0, 1.0), "pi_1"),
-                                 ((1 / 3, 0.0, 2 / 3), "pi_combo")):
-            res = allocation_search(4800, weights, *RATES, [0.25, 0.5], ALPHA,
-                                    quad_cfg)
+        for measure in ("pi_avg", "pi_1", "pi_combo"):
+            res = allocation_search(4800, MEASURE_WEIGHTS[measure], *RATES,
+                                    [0.25, 0.5], ALPHA, quad_cfg)
             assert res.argmax[measure] == 0.5
 
     def test_weak_signal_prefers_uneven_split(self, quad_cfg):
@@ -302,10 +299,7 @@ class TestAllocation:
     def test_weak_signal_uneven_split_wins_every_measure(self, quad_cfg):
         # at N=600 the quarter split beats the even split on each
         # measure evaluated under its own optimal rule
-        for weights, measure in (((1.0, 0.0, 0.0), "pi_any"),
-                                 ((0.0, 1.0, 0.0), "pi_avg"),
-                                 ((0.0, 0.0, 1.0), "pi_1"),
-                                 ((1 / 3, 0.0, 2 / 3), "pi_combo")):
+        for measure, weights in MEASURE_WEIGHTS.items():
             res = allocation_search(600, weights, *RATES, [0.25, 0.5],
                                     ALPHA, quad_cfg)
             assert res.argmax[measure] == 0.25, measure
@@ -324,6 +318,10 @@ class TestAllocation:
             allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [1.5], ALPHA, quad_cfg)
         with pytest.raises(DomainError):
             allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [float("nan")], ALPHA,
+                              quad_cfg)
+        # every split degenerate: alpha is still checked
+        with pytest.raises(DomainError):
+            allocation_search(100, (0.0, 0.0, 1.0), *RATES, [0.0, 1.0], 0.7,
                               quad_cfg)
 
 

@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from omt2 import (AlternativeModel, DomainError, ObjectiveSpec, Procedure,
-                  ToleranceNotMet, UnsupportedModel, bonferroni, build_bittman,
-                  build_omt, closed_stouffer, combo_any_one, evaluate_power,
-                  export_region, fixed_sequence, fwer_global, hommel,
-                  hommel_coincidence_bound, mc_estimate, normal_pairs,
-                  pure_any, pure_avg, pure_one, region_mass,
-                  region_symmetric_difference, score_pieces, score_z,
-                  std_normal_quantile)
+from conftest import lr_density, measure_spec
+from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
+                  ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
+                  bonferroni, build_bittman, build_omt, closed_stouffer,
+                  evaluate_power, export_region, fixed_sequence, fwer_global,
+                  hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
+                  region_mass, region_symmetric_difference, score_pieces,
+                  score_z, std_normal_quantile)
 from omt2 import procedures
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
 ZH = std_normal_quantile(ALPHA / 2)
-SPEC_ONE = pure_one(AlternativeModel(-2.0, -2.0), ALPHA)
+SPEC_ONE = measure_spec("pi_1", AlternativeModel(-2.0, -2.0), ALPHA)
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,10 @@ def all_procedures(quad_cfg):
         "closed_stouffer": closed_stouffer(ALPHA),
         "fixed_sequence": fixed_sequence(ALPHA),
         "bittman": build_bittman(ALPHA, quad_cfg),
-        "omt_one": build_omt(pure_one(m_sym, ALPHA), quad_cfg),
-        "omt_any": build_omt(pure_any(m_sym, ALPHA), quad_cfg),
-        "omt_combo_asym": build_omt(combo_any_one(m_asym, ALPHA), quad_cfg),
+        "omt_one": build_omt(measure_spec("pi_1", m_sym, ALPHA), quad_cfg),
+        "omt_any": build_omt(measure_spec("pi_any", m_sym, ALPHA), quad_cfg),
+        "omt_combo_asym": build_omt(measure_spec("pi_combo", m_asym, ALPHA),
+                                    quad_cfg),
     }
 
 
@@ -122,35 +123,57 @@ class TestCoincidenceBound:
             -math.log(2.0) / (za - zh), rel=1e-14)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            hommel_coincidence_bound(0.5)
+        for alpha in (0.0, 0.6, "0.025", None):
+            with pytest.raises(DomainError):
+                hommel_coincidence_bound(alpha)
+        # alpha = 0.5: quantile(alpha) = 0
+        expected = -math.log(2.0) / (0.0 - std_normal_quantile(0.25))
+        assert hommel_coincidence_bound(0.5) == pytest.approx(expected, rel=1e-14)
+        assert expected == pytest.approx(-1.0277, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_bound_splits_coincidence_at_wide_levels(self, alpha, quad_cfg):
+        """The pi_1 rule is hommel just above the bound and departs from
+        it just below."""
+        bound = hommel_coincidence_bound(alpha)
+        diff = {}
+        for step in (0.05, -0.05):
+            model = AlternativeModel(bound + step, bound + step)
+            proc = build_omt(measure_spec("pi_1", model, alpha), quad_cfg)
+            diff[step] = region_symmetric_difference(proc, hommel(alpha),
+                                                     quad_cfg)
+        assert diff[0.05] <= 1e-9
+        assert diff[-0.05] >= 1e-5
 
 
 class TestOmtConstruction:
     @pytest.mark.parametrize("theta", [-1.0, -2.0, -2.4])
     def test_one_false_null_matches_hommel_above_bound(self, theta, quad_cfg):
-        proc = build_omt(pure_one(AlternativeModel(theta, theta), ALPHA), quad_cfg)
+        proc = build_omt(measure_spec("pi_1", AlternativeModel(theta, theta), ALPHA),
+                         quad_cfg)
         diff = region_symmetric_difference(proc, hommel(ALPHA), quad_cfg)
         assert diff < 1e-6
         # threshold has the closed form lr(alpha/2)/2 in this regime
-        from omt2 import lr_density
         assert proc.t_score == pytest.approx(
             0.5 * float(lr_density(ALPHA / 2, theta)), rel=1e-6)
 
     def test_one_false_null_departs_below_bound(self, quad_cfg):
-        proc = build_omt(pure_one(AlternativeModel(-2.9, -2.9), ALPHA), quad_cfg)
+        proc = build_omt(measure_spec("pi_1", AlternativeModel(-2.9, -2.9), ALPHA),
+                         quad_cfg)
         diff = region_symmetric_difference(proc, hommel(ALPHA), quad_cfg)
         assert diff > 5e-6          # genuinely different region
         assert diff == pytest.approx(2.1e-5, rel=0.15)
 
     @pytest.mark.parametrize("theta", [-2.0, -2.9])
     def test_any_objective_is_sum_rule(self, theta, quad_cfg):
-        proc = build_omt(pure_any(AlternativeModel(theta, theta), ALPHA), quad_cfg)
+        proc = build_omt(measure_spec("pi_any", AlternativeModel(theta, theta),
+                                      ALPHA), quad_cfg)
         b = build_bittman(ALPHA, quad_cfg)
         assert region_symmetric_difference(proc, b, quad_cfg) < 1e-6
 
     def test_any_objective_decisions_match_sum_rule_on_grid(self, quad_cfg):
-        proc = build_omt(pure_any(AlternativeModel(-2.9, -2.9), ALPHA), quad_cfg)
+        proc = build_omt(measure_spec("pi_any", AlternativeModel(-2.9, -2.9), ALPHA),
+                         quad_cfg)
         b = build_bittman(ALPHA, quad_cfg)
         g = np.linspace(-4.0, 0.0, 512)
         z1, z2 = np.meshgrid(g, g, indexing="ij")
@@ -161,25 +184,30 @@ class TestOmtConstruction:
 
     def test_avg_and_any_regions_coincide(self, quad_cfg):
         m = AlternativeModel(-2.7, -2.7)
-        pa = build_omt(pure_avg(m, ALPHA), quad_cfg)
-        pb = build_omt(pure_any(m, ALPHA), quad_cfg)
+        pa = build_omt(measure_spec("pi_avg", m, ALPHA), quad_cfg)
+        pb = build_omt(measure_spec("pi_any", m, ALPHA), quad_cfg)
         assert region_symmetric_difference(pa, pb, quad_cfg) < 1e-6
 
     def test_degenerate_level(self, quad_cfg):
-        proc = build_omt(pure_one(AlternativeModel(-2.0, -2.0), 1e-12), quad_cfg)
+        proc = build_omt(measure_spec("pi_1", AlternativeModel(-2.0, -2.0), 1e-12),
+                         quad_cfg)
         area = fwer_global(proc, 0.0, quad_cfg)
         assert area <= 1.03e-12
         assert proc.decide((1e-3, 0.5)).as_tuple() == (False, False)
 
     def test_correlated_model_unsupported(self, quad_cfg):
-        spec = pure_one(AlternativeModel(-2.0, -2.0, 0.3), ALPHA)
+        spec = measure_spec("pi_1", AlternativeModel(-2.0, -2.0, 0.3), ALPHA)
         with pytest.raises(UnsupportedModel):
             build_omt(spec, quad_cfg)
 
-    @pytest.mark.parametrize("theta", [(-1.0, -3.0), (-3.0, -1.0), (-1.2, -2.7)])
+    # at (-20, -20) the first low bracket of pi_any and pi_avg still has
+    # null mass below alpha, so the solve walks it down (t ~ 1.7e-154)
+    @pytest.mark.parametrize("theta", [(-1.0, -3.0), (-3.0, -1.0), (-1.2, -2.7),
+                                       (-20.0, -20.0)])
     def test_asymmetric_builds_calibrate(self, theta, quad_cfg):
-        for maker in (pure_any, pure_avg, pure_one, combo_any_one):
-            proc = build_omt(maker(AlternativeModel(*theta), ALPHA), quad_cfg)
+        for measure in ("pi_any", "pi_avg", "pi_1", "pi_combo"):
+            spec = measure_spec(measure, AlternativeModel(*theta), ALPHA)
+            proc = build_omt(spec, quad_cfg)
             assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(ALPHA, abs=1e-8)
 
     def test_coarse_quadrature_profile_still_calibrates(self):
@@ -187,8 +215,8 @@ class TestOmtConstruction:
         coarse = QuadratureConfig(panels_per_axis=12, nodes_per_panel=8,
                                   abs_tol=1e-6)
         fine = QuadratureConfig()
-        proc = build_omt(combo_any_one(AlternativeModel(-2.5, -1.5), ALPHA),
-                         coarse)
+        proc = build_omt(measure_spec("pi_combo", AlternativeModel(-2.5, -1.5),
+                                      ALPHA), coarse)
         assert fwer_global(proc, 0.0, fine) == pytest.approx(ALPHA, abs=1e-6)
 
 
@@ -274,9 +302,7 @@ class TestRuleDefinitionsAgree:
     wherever they are asked."""
 
     MODEL = AlternativeModel(-2.2, -2.9)
-    WEIGHTS = {"any": (1.0, 0.0, 0.0), "avg": (0.0, 1.0, 0.0),
-               "one": (0.0, 0.0, 1.0), "combo": (1.0 / 3.0, 0.0, 2.0 / 3.0),
-               "interior": (0.2, 0.3, 0.5)}
+    WEIGHTS = {**MEASURE_WEIGHTS, "interior": (0.2, 0.3, 0.5)}
 
     @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
     def test_decide_z_matches_column_cuts(self, alpha, quad_cfg):
@@ -289,7 +315,7 @@ class TestRuleDefinitionsAgree:
             rules[f"omt_{name}"] = build_omt(spec, quad_cfg)
         # 3 x 65536 seeded draws: the alternative and both semi-nulls
         e1, e2 = normal_pairs(20260811, 65536)
-        t1, t2 = self.MODEL.thetas
+        t1, t2 = self.MODEL.theta1, self.MODEL.theta2
         mismatches = {}
         for name, proc in rules.items():
             for m1, m2 in ((t1, t2), (t1, 0.0), (0.0, t2)):
@@ -306,8 +332,7 @@ class TestScorePieces:
     """The per-piece coefficient table, from which the omt column cut and
     kinks are derived, against the independent pointwise `score_z`."""
 
-    WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
-               (1.0 / 3.0, 0.0, 2.0 / 3.0), (0.2, 0.3, 0.5)]
+    WEIGHTS = [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)]
     THETAS = [(-2.0, -2.0), (-2.5, -3.0), (-3.0, -3.0), (-5.0, -3.5)]
 
     def specs(self, alpha):
@@ -320,7 +345,7 @@ class TestScorePieces:
         below = lambda: za - rng.uniform(0.0, 6.0, 500)
         above = lambda: za + rng.uniform(0.01, 6.0, 500)
         for spec in self.specs(alpha):
-            t1, t2 = spec.model.thetas
+            t1, t2 = spec.model.theta1, spec.model.theta2
             for (c_g, c_1, c_2), (z1, z2) in zip(
                     score_pieces(spec),
                     [(below(), below()), (below(), above()), (above(), below())]):
@@ -351,7 +376,7 @@ class TestScorePieces:
                     root = brentq(lambda z: float(gap(np.array([z]))[0]),
                                   grid[k], grid[k + 1], xtol=1e-15)
                     if np.min(np.abs(breaks - root)) > 1e-12:
-                        misses.append((spec.weights, spec.model.thetas, z2, root))
+                        misses.append((spec.weights, spec.model, z2, root))
         assert misses == []
 
 
@@ -418,9 +443,7 @@ class TestColumnPlan:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    @pytest.mark.parametrize("w", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                   (0.0, 0.0, 1.0), (1.0 / 3.0, 0.0, 2.0 / 3.0),
-                                   (0.2, 0.3, 0.5)])
+    @pytest.mark.parametrize("w", [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)])
     @pytest.mark.parametrize("t_score", [1e-300, 1e300])
     def test_extreme_threshold_warns_nothing(self, w, t_score, panel_builds,
                                              quad_cfg):
@@ -434,7 +457,7 @@ class TestColumnPlan:
     def test_strong_shift_warns_nothing(self, panel_builds, quad_cfg):
         # e1 overflows to +inf in the columns far inside the square
         model = AlternativeModel(-30.0, -30.0)
-        proc = build_omt(pure_one(model, ALPHA), quad_cfg)
+        proc = build_omt(measure_spec("pi_1", model, ALPHA), quad_cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert evaluate_power(proc, model, quad_cfg).pi_any == pytest.approx(1.0)
@@ -472,7 +495,7 @@ class TestRegionExport:
         assert abs(c[k2] - (math.sqrt(2.0) * ZA - c[i])) <= cell + 1e-12
 
     def test_omt_one_grid_identical_to_hommel(self, quad_cfg):
-        proc = build_omt(pure_one(AlternativeModel(-2.0, -2.0), ALPHA), quad_cfg)
+        proc = build_omt(SPEC_ONE, quad_cfg)
         ga = export_region(proc, 256)
         gb = export_region(hommel(ALPHA), 256)
         assert np.array_equal(ga.classes, gb.classes)
