@@ -33,6 +33,9 @@ __all__ = [
     "check_alpha",
 ]
 
+# Types accepted as real numbers: Python's and numpy's scalars
+REAL_TYPES = (float, int, np.floating, np.integer)
+
 # Smallest p-value accepted by decision rules before transforming to a
 # z-score; values below are clamped (densities on the open square only).
 P_CLAMP_MIN = 1e-300
@@ -54,8 +57,8 @@ class AlternativeModel:
     def __post_init__(self):
         for name in ("theta1", "theta2", "rho"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+            if not (isinstance(v, REAL_TYPES) and math.isfinite(v)):
+                raise DomainError(f"{name} must be a finite number, got {v!r}")
         if not -1.0 < self.rho < 1.0:
             raise DomainError(f"rho must be in (-1, 1), got {self.rho!r}")
 

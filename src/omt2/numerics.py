@@ -31,10 +31,9 @@ normal deviates are produced by the inverse-CDF transform
 `mc_estimate` walks the sample in blocks of ``_BLOCK`` replications, so
 that the temporaries of an event stay in cache, and calls the event
 once per block.  The event must therefore be elementwise: value k may
-depend only on replication k's pair (z1[k], z2[k]).  Its values are
-gathered into full-length arrays and the mean and standard error are
-taken over the whole sample, so the estimate does not depend on the
-block size.
+depend only on replication k's pair (z1[k], z2[k]).  Its values are bool
+indicators or small integer counts, whose exact per-block sums of x and
+x^2 replace full-length arrays, so no estimate depends on the block size.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ __all__ = [
     "QuadratureConfig",
     "McConfig",
     "bisect",
+    "check_count",
     "mc_estimate",
     "normal_pairs",
 ]
@@ -79,10 +79,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.panels_per_axis < 8:
-            raise DomainError("panels_per_axis must be >= 8")
-        if self.nodes_per_panel < 2:
-            raise DomainError("nodes_per_panel must be >= 2")
+        for name, lo in (("panels_per_axis", 8), ("nodes_per_panel", 2)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
         if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
 
@@ -95,10 +93,16 @@ class McConfig:
     seed: int = 20260810
 
     def __post_init__(self):
-        if self.reps < 10_000:
-            raise DomainError("reps must be >= 10_000")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "reps", check_count("reps", self.reps, 10_000))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 2**64))
+
+
+def check_count(name: str, v, lo: int, hi: float = math.inf) -> int:
+    """v as a Python int; DomainError unless it is an integer in [lo, hi)
+    (a numpy integer passes; a bool, a float or a string does not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+    return int(v)
 
 
 @functools.cache
@@ -220,24 +224,38 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     return pair[0], pair[1]
 
 
+def _sums(vals: np.ndarray) -> tuple[int, int]:
+    """Exact (sum x, sum x^2) of one block of bool or integer event values."""
+    if vals.dtype.kind == "b":
+        return (k := int(np.count_nonzero(vals))), k
+    if vals.dtype.kind not in "iu":
+        raise DomainError(f"event values must be bool or integer, got {vals.dtype}")
+    x = vals.astype(np.int64)
+    # 16-bit values cannot overflow the int64 sums; wider ones are checked
+    if vals.dtype.itemsize > 2 and int(np.abs(x).max(initial=0)) ** 2 * x.size >= 2**63:
+        raise DomainError("integer event values too large for exact int64 sums")
+    return int(x.sum()), int(x @ x)
+
+
 def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 model: AlternativeModel, cfg: McConfig
                 ) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo mean and standard error of ``event(z1, z2)``.
 
     Draws z1 = theta1 + Z1, z2 = theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 and
-    evaluates the event (an indicator or bounded count) block by block,
-    on ``_BLOCK`` replications at a time.  The event must be
-    elementwise: one value per replication, from that replication's
-    pair alone.  The mean and SE are taken over the full sample, so
-    they do not depend on the block size.  An event that returns a
-    tuple of arrays gets a list with one ``(mean, se)`` pair per array,
-    all from the one draw.  Deterministic for fixed (seed, reps).
+    evaluates the event block by block, on ``_BLOCK`` replications at a
+    time.  The event must be elementwise, one bool or small integer value
+    per replication from that replication's pair alone (a float dtype
+    raises DomainError).  Each block adds the exact sums S1 of x and S2 of
+    x^2 to Python ints: the mean S1/n is correctly rounded, the SE
+    sqrt((n*S2 - S1^2) / (n^2 (n-1))) within an ulp, and neither depends on
+    the block size.  A tuple of arrays gets a list with one ``(mean, se)``
+    pair per array, all from the one draw.  Deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
     t1, t2, rho = model.theta1, model.theta2, model.rho
     scale = math.sqrt(1.0 - rho**2)
-    full = None
+    sums = None
     for lo in range(0, cfg.reps, _BLOCK):
         b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
         z1 = t1 + b1
@@ -246,12 +264,12 @@ def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
         z2 = t2 + b2 if rho == 0.0 else t2 + rho * b1 + scale * b2
         out = event(z1, z2)
         arrs = out if isinstance(out, tuple) else (out,)
-        if full is None:
-            full = [np.empty(cfg.reps) for _ in arrs]
-        if len(arrs) != len(full) or any(np.shape(a) != z1.shape for a in arrs):
+        sums = sums or [(0, 0)] * len(arrs)
+        if len(arrs) != len(sums) or any(np.shape(a) != z1.shape for a in arrs):
             raise DomainError("event must return one value per replication")
-        for dst, arr in zip(full, arrs):
-            dst[lo:lo + _BLOCK] = arr
-    pairs = [(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(cfg.reps)))
-             for vals in full]
+        sums = [(s1 + m1, s2 + m2)
+                for (s1, s2), (m1, m2) in zip(sums, map(_sums, arrs))]
+    n = cfg.reps
+    pairs = [(s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1))))
+             for s1, s2 in sums]
     return pairs if isinstance(out, tuple) else pairs[0]

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .gauss import AlternativeModel, alpha_lines, check_alpha
+from .gauss import REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
 
 __all__ = ["ObjectiveSpec", "score_z", "score_pieces"]
 
@@ -69,7 +69,8 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         w = (self.w_any, self.w_avg, self.w_one)
-        if any(not 0.0 <= x <= 1.0 for x in w):  # also rejects NaN
+        if any(not (isinstance(x, REAL_TYPES) and 0.0 <= x <= 1.0)  # NaN fails too
+               for x in w):
             raise DomainError(f"objective weights must lie in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"objective weights must sum to 1, got {w}")

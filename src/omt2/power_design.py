@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateVariance, DomainError, Unachievable
-from .gauss import (AlternativeModel, alpha_lines, check_alpha,
+from .gauss import (REAL_TYPES, AlternativeModel, alpha_lines, check_alpha,
                     std_normal_cdf, std_normal_quantile)
-from .numerics import McConfig, QuadratureConfig, mc_estimate
+from .numerics import McConfig, QuadratureConfig, check_count, mc_estimate
 from .objective import ObjectiveSpec
 from .procedures import Procedure, build_omt, hommel, region_mass
 
@@ -93,9 +93,7 @@ class TwoArmDesign:
             if not 0.0 < r < 1.0:
                 raise DomainError(f"{name} must be in (0, 1), got {r!r}")
         for name in ("n_control", "n_treat"):
-            n = getattr(self, name)
-            if not (isinstance(n, int) and n >= 1):
-                raise DomainError(f"{name} must be a positive integer, got {n!r}")
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
 
 
 def theta_from_design(d: TwoArmDesign) -> float:
@@ -114,10 +112,8 @@ def observed_pvalue(events_control: int, n_control: int,
     """One-sided p-value for observed counts, unpooled normal approximation."""
     for ev, n, tag in ((events_control, n_control, "control"),
                        (events_treat, n_treat, "treat")):
-        if not (isinstance(n, int) and n >= 1):
-            raise DomainError(f"n_{tag} must be a positive integer, got {n!r}")
-        if not (isinstance(ev, int) and 0 <= ev <= n):
-            raise DomainError(f"events_{tag}={ev!r} outside [0, {n}]")
+        n = check_count(f"n_{tag}", n, 1)
+        check_count(f"events_{tag}", ev, 0, n + 1)
     pc = events_control / n_control
     pt = events_treat / n_treat
     if pc in (0.0, 1.0) or pt in (0.0, 1.0):
@@ -131,7 +127,7 @@ def observed_pvalue(events_control: int, n_control: int,
 def theta_from_marginal_power(beta: float, alpha: float) -> float:
     """Shift giving single-test power beta at one-sided level alpha."""
     alpha = check_alpha(alpha)
-    if not alpha <= beta < 1.0:
+    if not (isinstance(beta, REAL_TYPES) and alpha <= beta < 1.0):
         raise DomainError(f"beta must be in [alpha, 1), got {beta!r}")
     return alpha_lines(alpha)[0] - std_normal_quantile(beta)
 
@@ -190,22 +186,21 @@ def mc_power(proc: Procedure, model: AlternativeModel,
              cfg: McConfig) -> dict[str, tuple[float, float]]:
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
-    pi_1 combines two semi-null runs that share the underlying normal
-    draws; its SE uses the triangle inequality, which is conservative.
+    pi_avg halves the mean and SE of the count d1 + d2, exactly.  pi_1
+    combines two semi-null runs that share the underlying normal draws;
+    its SE uses the triangle inequality, which is conservative.
     """
     def ev_alt(z1, z2):
         d1, d2 = proc.decide_z(z1, z2)
-        avg = np.add(d1, d2, dtype=float)
-        avg *= 0.5
-        return d1 | d2, avg
+        return d1 | d2, np.add(d1, d2, dtype=np.int8)
 
-    (pany, se_any), (pavg, se_avg) = mc_estimate(ev_alt, model, cfg)
+    (pany, se_any), (count, se_count) = mc_estimate(ev_alt, model, cfg)
     m1, se1 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[0],
                           _semi_null(model, 1), cfg)
     m2, se2 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[1],
                           _semi_null(model, 2), cfg)
-    means = _measures(pany, pavg, m1, m2)
-    ses = _measures(se_any, se_avg, se1, se2)
+    means = _measures(pany, 0.5 * count, m1, m2)
+    ses = _measures(se_any, 0.5 * se_count, se1, se2)
     return {m: (means[m], ses[m]) for m in means}
 
 
@@ -330,8 +325,7 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     the same exchangeable calibration theta_of_n, and reports the
     relative saving (N_required - n_reference) / N_required * 100.
     """
-    if not (isinstance(n_reference, int) and n_reference >= 1):
-        raise DomainError(f"n_reference must be a positive integer, got {n_reference!r}")
+    n_reference = check_count("n_reference", n_reference, 1)
     cfg = cfg or QuadratureConfig()
     baseline = hommel(alpha)
     th_ref = theta_of_n(n_reference)

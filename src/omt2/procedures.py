@@ -42,7 +42,7 @@ from scipy.special import ndtr
 from .errors import DomainError, ToleranceNotMet
 from .gauss import (AlternativeModel, alpha_lines, check_alpha,
                     clamp_pvalue, std_normal_quantile)
-from .numerics import QuadratureConfig, Z_RANGE, bisect, panel_nodes
+from .numerics import QuadratureConfig, Z_RANGE, bisect, check_count, panel_nodes
 from .objective import ObjectiveSpec, score_pieces, score_z
 
 __all__ = [
@@ -451,8 +451,7 @@ def export_region(proc: Procedure, grid_size: int,
     z = quantile(alpha/2) so cells never straddle those rule
     boundaries.
     """
-    if grid_size < 16:
-        raise DomainError("grid_size must be >= 16")
+    grid_size = check_count("grid_size", grid_size, 16)
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_hi > z_lo):
         raise DomainError("z_lo and z_hi must be finite with z_hi > z_lo")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)

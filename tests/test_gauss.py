@@ -206,6 +206,15 @@ class TestAlternativeModel:
         with pytest.raises(DomainError):
             AlternativeModel(float("inf"), -1.0)
 
+    @pytest.mark.parametrize("args", [("-2", -2), (-2, None), (-2, -2, "0.5")])
+    def test_non_numeric_fields(self, args):
+        with pytest.raises(DomainError):
+            AlternativeModel(*args)
+
+    def test_numpy_scalars_accepted(self):
+        m = AlternativeModel(np.float64(-2.0), np.float32(-2.5), np.float64(0.5))
+        assert (m.theta1, m.theta2, m.rho) == (-2.0, -2.5, 0.5)
+
     def test_defaults_independent(self):
         m = AlternativeModel(-2.0, -3.0)
         assert m.rho == 0.0

@@ -1,6 +1,9 @@
 """Quadrature, bisection, and the counter-based Monte Carlo engine."""
 
 import math
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,18 @@ class TestQuadratureConfig:
             QuadratureConfig(panels_per_axis=4)
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["panels_per_axis", "nodes_per_panel"])
+    @pytest.mark.parametrize("value", [24.5, 24.0, "24", True, None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError):
+            QuadratureConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = QuadratureConfig(panels_per_axis=np.int64(12),
+                               nodes_per_panel=np.int32(8))
+        assert cfg == QuadratureConfig(12, 8)
+        assert type(cfg.panels_per_axis) is int and type(cfg.nodes_per_panel) is int
 
 
 def linspace_panel_nodes(lo, hi, breaks, panels, order):
@@ -113,7 +128,7 @@ class TestSplitmix64:
 
 class TestMcEstimate:
     def test_constant_event(self, mc_cfg):
-        mean, se = mc_estimate(lambda z1, z2: np.ones_like(z1),
+        mean, se = mc_estimate(lambda z1, z2: np.ones_like(z1, dtype=bool),
                                AlternativeModel(0.0, 0.0), mc_cfg)
         assert mean == 1.0 and se == 0.0
 
@@ -166,9 +181,105 @@ class TestMcEstimate:
         with pytest.raises(DomainError):
             McConfig(reps=100)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"reps": 1e6}, {"reps": 20_000.0}, {"reps": "20000"}, {"reps": True},
+        {"seed": 1.5}, {"seed": 7.0}, {"seed": "7"}, {"seed": False},
+        {"seed": -1}, {"seed": 2**64}])
+    def test_reps_and_seed_must_be_integers(self, kwargs):
+        with pytest.raises(DomainError):
+            McConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = McConfig(reps=np.int64(20_000), seed=np.uint64(2**64 - 1))
+        assert cfg == McConfig(reps=20_000, seed=2**64 - 1)
+        assert type(cfg.reps) is int and type(cfg.seed) is int
+
+
+def exact_sums(vals):
+    """(sum x, sum x^2) as Python ints, by counting each distinct value."""
+    counts = Counter(np.asarray(vals).tolist())
+    return (sum(int(v) * c for v, c in counts.items()),
+            sum(int(v) ** 2 * c for v, c in counts.items()))
+
+
+def exact_se_squared(s1, s2, n):
+    """The squared standard error (n*S2 - S1^2) / (n^2 (n-1)), exactly."""
+    return Fraction(n * s2 - s1 * s1, n * n * (n - 1))
+
+
+class TestCountingEngine:
+    """Exact per-block sums: the mean is S1/n correctly rounded and the
+    SE is within an ulp or two of its exact value."""
+
+    CFG = McConfig(reps=100_003, seed=2718)
+    MODEL = AlternativeModel(-2.0, -2.5, 0.3)
+
+    @staticmethod
+    def outputs(event, model, cfg):
+        zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
+        z2 = (model.theta2 + model.rho * zz1
+              + math.sqrt(1.0 - model.rho**2) * zz2)
+        return event(model.theta1 + zz1, z2)
+
+    EVENTS = {
+        "bool": lambda z1, z2: hommel(ALPHA).decide_z(z1, z2)[0],
+        "int8": lambda z1, z2: np.add(*hommel(ALPHA).decide_z(z1, z2),
+                                      dtype=np.int8),
+        "int64": lambda z1, z2: (z1 <= -2.0).astype(np.int64) - (z2 <= -3.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_exact_oracle(self, name):
+        ev, n = self.EVENTS[name], self.CFG.reps
+        mean, se = mc_estimate(ev, self.MODEL, self.CFG)
+        s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
+        assert s1 > 0 and mean == s1 / n == float(Fraction(s1, n))
+        se2 = exact_se_squared(s1, s2, n)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = (Decimal(se2.numerator) / Decimal(se2.denominator)).sqrt()
+            assert abs(Decimal(se) - exact) <= 2 * Decimal(math.ulp(se))
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_se_matches_whole_sample_std(self, name):
+        ev, n = self.EVENTS[name], self.CFG.reps
+        _, se = mc_estimate(ev, self.MODEL, self.CFG)
+        vals = self.outputs(ev, self.MODEL, self.CFG).astype(float)
+        ref = vals.std(ddof=1) / math.sqrt(n)
+        assert abs(se - ref) <= 1e-15 * ref
+
+    # 16-bit values are never checked; 11e6^2 times a 2^16 block is just
+    # below 2^63
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int16, 32767), (np.int16, -32768), (np.uint16, 65535),
+        (np.int64, 11_000_000)])
+    def test_wide_integer_values_stay_exact(self, dtype, value):
+        ev = lambda z1, z2: np.where(z1 <= 0.0, value, 0).astype(dtype)
+        mean, se = mc_estimate(ev, self.MODEL, self.CFG)
+        s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
+        assert mean == float(Fraction(s1, self.CFG.reps))
+        assert se == pytest.approx(math.sqrt(exact_se_squared(s1, s2, self.CFG.reps)),
+                                   rel=1e-15)
+
+    @pytest.mark.parametrize("value", [2**32, -(2**32), 2**63 - 1])
+    def test_integer_values_too_large_for_exact_sums(self, value):
+        with pytest.raises(DomainError, match="too large"):
+            mc_estimate(lambda z1, z2: np.where(z1 <= 0.0, value, 0).astype(np.int64),
+                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+    def test_float_event_rejected(self, dtype):
+        with pytest.raises(DomainError, match="bool or integer"):
+            mc_estimate(lambda z1, z2: (z1 <= 0.0).astype(dtype),
+                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+        with pytest.raises(DomainError, match="bool or integer"):
+            mc_estimate(lambda z1, z2: (z1 <= 0.0, (z2 <= 0.0).astype(dtype)),
+                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+
 
 def whole_sample_mc_estimate(event, model, cfg):
-    """Reference engine: one draw and one event call on the whole sample."""
+    """Reference engine: one draw and one event call on the whole sample,
+    then the mean S1/n and the SE from its exact sums."""
     u = uniforms(cfg.seed, 0, 2 * cfg.reps)
     zz1 = std_normal_quantile(u[:cfg.reps])
     zz2 = std_normal_quantile(u[cfg.reps:])
@@ -177,9 +288,9 @@ def whole_sample_mc_estimate(event, model, cfg):
     out = event(z1, z2)
     pairs = []
     for arr in out if isinstance(out, tuple) else (out,):
-        vals = np.asarray(arr, dtype=float)
-        pairs.append((float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(cfg.reps))))
+        s1, s2 = exact_sums(arr)
+        pairs.append((float(Fraction(s1, cfg.reps)),
+                      math.sqrt(exact_se_squared(s1, s2, cfg.reps))))
     return pairs if isinstance(out, tuple) else pairs[0]
 
 
@@ -206,16 +317,17 @@ class TestBlockedEngine:
     def events(rule):
         def alt(z1, z2):
             d1, d2 = rule.decide_z(z1, z2)
-            return d1 | d2, 0.5 * (d1.astype(float) + d2.astype(float))
+            return d1 | d2, np.add(d1, d2, dtype=np.int8)
         return {"single": lambda z1, z2: rule.decide_z(z1, z2)[0],
-                "float": lambda z1, z2: np.minimum(z1, z2),
+                "count": lambda z1, z2: (np.floor(np.minimum(z1, z2))
+                                         .astype(np.int64)),
                 "tuple": alt}
 
     @staticmethod
     def recorder(pairs):
         def ev(z1, z2):
             pairs.append((z1, z2))
-            return z1
+            return z1 <= 0.0
         return ev
 
     @pytest.mark.parametrize("block", [4096, 3000, 1 << 20, None])

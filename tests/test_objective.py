@@ -26,6 +26,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             ObjectiveSpec(float("nan"), 0.5, 0.5, MODEL, ALPHA)
 
+    def test_weights_must_be_numbers(self):
+        for w in (("1", 0, 0), (1, None, 0)):
+            with pytest.raises(DomainError):
+                ObjectiveSpec(*w, MODEL, ALPHA)
+        assert ObjectiveSpec(np.float64(1.0), 0, 0, MODEL, ALPHA).w_any == 1.0
+
     def test_alpha_range(self):
         for alpha in (0.6, 0.0, "0.025", None):
             with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 """Power measures, trial-design mappings, and design-level searches."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
@@ -62,6 +64,15 @@ class TestDesignMappings:
             TwoArmDesign(0.0, 0.5, 10, 10)
         with pytest.raises(DomainError):
             TwoArmDesign(0.1, 0.5, 0, 10)
+        for n in (True, 10.0, "10"):
+            with pytest.raises(DomainError):
+                TwoArmDesign(0.1, 0.5, 10, n)
+
+    def test_numpy_arm_sizes_stored_as_int(self):
+        d = TwoArmDesign(*RATES, np.int64(1956), np.int32(1914))
+        assert d == TwoArmDesign(*RATES, 1956, 1914) and type(d.n_treat) is int
+        assert (theta_from_design(d)
+                == theta_from_design(TwoArmDesign(*RATES, 1956, 1914)))
 
 
 class TestObservedPvalue:
@@ -83,6 +94,11 @@ class TestObservedPvalue:
             observed_pvalue(101, 100, 5, 100)
         with pytest.raises(DomainError):
             observed_pvalue(-1, 100, 5, 100)
+        for bad in ((5.0, 100, 5, 100), (5, 100, True, 100), (5, 100, 5, "100")):
+            with pytest.raises(DomainError):
+                observed_pvalue(*bad)
+        assert (observed_pvalue(np.int64(166), np.int64(1956), 132, 1914)
+                == observed_pvalue(166, 1956, 132, 1914))
 
 
 class TestMarginalPowerCalibration:
@@ -104,6 +120,13 @@ class TestMarginalPowerCalibration:
         for alpha in (0.6, "0.025"):
             with pytest.raises(DomainError):
                 theta_from_marginal_power(0.85, alpha)
+        for beta in ("0.85", None):
+            with pytest.raises(DomainError):
+                theta_from_marginal_power(beta, 0.025)
+
+    def test_numpy_beta_same_bits(self):
+        assert (theta_from_marginal_power(np.float64(0.85), 0.025)
+                == theta_from_marginal_power(0.85, 0.025))
 
 
 class TestEvaluatePower:
@@ -205,6 +228,19 @@ class TestEvaluatePower:
         monkeypatch.setattr(Procedure, "decide_z", recorded)
         mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5), mc_cfg)
         assert mc_cfg.reps == 1_000_000 and sum(sizes) == 3 * mc_cfg.reps
+
+    def test_mc_power_keeps_no_full_length_array(self, mc_cfg):
+        # with the draws cached, one call's peak stays below one float64
+        # array of reps values: the engine keeps per-block counts only
+        rule, model = hommel(ALPHA), AlternativeModel(-2.0, -2.5)
+        mc_power(rule, model, mc_cfg)
+        tracemalloc.start()
+        try:
+            mc_power(rule, model, mc_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc_cfg.reps == 1_000_000 and peak < 8 * 2**20
 
     def test_mc_power_repeats_on_cached_draws(self, quad_cfg):
         spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.0, -2.5), ALPHA)
@@ -340,7 +376,7 @@ class TestRequiredN:
         n = required_n_for_power(power, 0.8)
         assert power(n) >= 0.8 > power(n - 1)
 
-    @pytest.mark.parametrize("n_ref", [0, -4, 4800.0])
+    @pytest.mark.parametrize("n_ref", [0, -4, 4800.0, True])
     def test_savings_reference_size_validation(self, n_ref):
         def theta_of_n(n):
             raise AssertionError("called before n_reference was checked")

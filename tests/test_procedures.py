@@ -518,6 +518,11 @@ class TestRegionExport:
         with pytest.raises(DomainError):
             export_region(hommel(ALPHA), 8)
 
+    @pytest.mark.parametrize("grid_size", [20.5, 32.0, "32", True])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        with pytest.raises(DomainError):
+            export_region(hommel(ALPHA), grid_size)
+
     @pytest.mark.parametrize("z_lo,z_hi", [(-4.0, math.inf), (-math.inf, 0.0),
                                            (math.nan, 0.0), (0.0, -1.0)])
     def test_z_range_must_be_finite_and_ordered(self, z_lo, z_hi):
