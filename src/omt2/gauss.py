@@ -88,8 +88,9 @@ def std_normal_quantile(u):
 
 
 def check_alpha(alpha) -> float:
-    """alpha as a float; DomainError unless it is a number in (0, 0.5]."""
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 0.5):
+    """alpha as a float; DomainError unless it is a real number (numpy
+    scalars included) in (0, 0.5].  A bool, as 0 or 1, lies outside."""
+    if not (isinstance(alpha, REAL_TYPES) and 0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha!r}")
     return float(alpha)
 
@@ -113,9 +114,9 @@ def clamp_pvalue(p: float) -> float:
 
     Values of exactly 1 are nudged to the largest representable value
     below 1 so the z-transform stays finite; the decision is unchanged.
-    Raises DomainError for values outside (0, 1].
+    Raises DomainError for values outside (0, 1] and for bools.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)):
+    if isinstance(p, bool) or not (isinstance(p, REAL_TYPES) and math.isfinite(p)):
         raise DomainError(f"p-value must be a finite number, got {p!r}")
     if p <= 0.0 or p > 1.0:
         raise DomainError(f"p-value must be in (0, 1], got {p!r}")

@@ -28,18 +28,30 @@ where mix64 is the standard splitmix64 finalizer.  Uniforms are the top
 normal deviates are produced by the inverse-CDF transform
 `gauss.std_normal_quantile` (scipy's ``ndtri``).
 
-`mc_estimate` walks the sample in blocks of ``_BLOCK`` replications, so
-that the temporaries of an event stay in cache, and calls the event
-once per block.  The event must therefore be elementwise: value k may
-depend only on replication k's pair (z1[k], z2[k]).  Its values are bool
-indicators or small integer counts, whose exact per-block sums of x and
-x^2 replace full-length arrays, so no estimate depends on the block size.
+`normal_pairs` and `mc_estimate` split the sample into blocks of
+``_BLOCK`` = 2^15 replications, small enough that a block's temporaries
+stay in cache, and run the blocks on one thread per CPU this process may
+run on: the calling thread and a pool of workers (numpy and scipy
+release the interpreter lock inside their loops).  The pool lives only
+for the call: no thread starts at import or outlives a call.  The event is called once per
+block, possibly at the same time as other blocks and in any order, so
+it must be a pure elementwise function: value k may depend only on
+replication k's pair (z1[k], z2[k]).  Its values are bool indicators or
+small integer counts, whose exact per-block sums of x and x^2 replace
+full-length arrays.  The draws of a block are a pure function of
+(seed, reps, block), and integer addition is exact, so no estimate can
+depend on the block size, the worker count or the order in which the
+blocks finish.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,9 +77,10 @@ __all__ = [
 # every tolerance used in the package.
 Z_RANGE = 9.5
 
-# Replications per Monte Carlo block: 2^16 float64 values are 512 KB, so
-# a block's event temporaries stay in a core's L2 cache.
-_BLOCK = 1 << 16
+# Replications per Monte Carlo block: 2^15 float64 values are 256 KB, so
+# a block's event temporaries stay in a core's L2 cache, and two workers
+# hold about what one block of 2^16 held.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -204,24 +217,77 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn: Callable[[int], object], reps: int) -> list:
+    """[fn(lo) for lo in range(0, reps, _BLOCK)], the blocks run at once.
+
+    The caller and a pool of worker threads, one per CPU in all, each
+    take the next block in order until none is left: a future per block
+    would wake the caller once per block, to contend with the workers for
+    the interpreter lock.  The pool's tasks run in copies of the caller's
+    context (numpy's error state included), and the pool is shut down
+    before the call returns.  The results come back in block order.  Once
+    a block raises, no block starts, and the caller gets the exception of
+    the first failing block, as a sequential loop would.
+    """
+    starts = range(0, reps, _BLOCK)
+    results, errors = [None] * len(starts), {}
+    order = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return None if errors else next(order, None)
+
+    def work() -> None:
+        for k in iter(take, None):
+            try:
+                results[k] = fn(starts[k])
+            except Exception as exc:  # raised in the caller below
+                with lock:
+                    errors[k] = exc
+
+    ctx = contextvars.copy_context()
+    helpers = min(_worker_count(), len(starts)) - 1
+    # a pool starts its threads on submit, so with no helper none starts
+    with futures.ThreadPoolExecutor(max(1, helpers)) as pool:
+        tasks = [pool.submit(ctx.copy().run, work) for _ in range(helpers)]
+        work()
+    for task in tasks:
+        task.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 @functools.lru_cache(maxsize=4)
 def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal vectors of length ``reps``.
 
     Pair k uses stream outputs k and reps+k, so the k-th replication is
-    a pure function of (seed, reps, k).  The most recent draws are
-    memoized because many checks reuse the same base sample; they are
-    read-only, so no caller can change the draws of the next.
+    a pure function of (seed, reps, k); the blocks fill disjoint slices.
+    The most recent draws are memoized because many checks reuse the
+    same base sample; they are read-only, so no caller can change the
+    draws of the next.
     """
-    pair = []
-    for k in range(2):
-        zz = np.empty(reps)
-        for lo in range(0, reps, _BLOCK):
-            n = min(_BLOCK, reps - lo)
+    pair = np.empty(reps), np.empty(reps)
+
+    def fill(lo: int) -> None:
+        n = min(_BLOCK, reps - lo)
+        for k, zz in enumerate(pair):
             zz[lo:lo + n] = std_normal_quantile(uniforms(seed, k * reps + lo, n))
+
+    _map_blocks(fill, reps)
+    for zz in pair:
         zz.setflags(write=False)
-        pair.append(zz)
-    return pair[0], pair[1]
+    return pair
 
 
 def _sums(vals: np.ndarray) -> tuple[int, int]:
@@ -243,20 +309,24 @@ def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Monte Carlo mean and standard error of ``event(z1, z2)``.
 
     Draws z1 = theta1 + Z1, z2 = theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 and
-    evaluates the event block by block, on ``_BLOCK`` replications at a
-    time.  The event must be elementwise, one bool or small integer value
-    per replication from that replication's pair alone (a float dtype
-    raises DomainError).  Each block adds the exact sums S1 of x and S2 of
-    x^2 to Python ints: the mean S1/n is correctly rounded, the SE
-    sqrt((n*S2 - S1^2) / (n^2 (n-1))) within an ulp, and neither depends on
-    the block size.  A tuple of arrays gets a list with one ``(mean, se)``
-    pair per array, all from the one draw.  Deterministic for fixed (seed, reps).
+    evaluates the event on blocks of ``_BLOCK`` replications, run on one
+    thread per CPU (the caller and a pool of workers).  The event is called once per block, possibly
+    at the same time as other blocks and in any order, so it must be a
+    pure elementwise function: one bool or small integer value per
+    replication from that replication's pair alone (a float dtype raises
+    DomainError).  Each block returns the exact sums S1 of x and S2 of
+    x^2, which are added as Python ints in block order once every block
+    has finished: the mean S1/n is correctly rounded, the SE
+    sqrt((n*S2 - S1^2) / (n^2 (n-1))) within an ulp, and neither depends
+    on the block size, the worker count or the order the blocks finish
+    in.  A tuple of arrays gets a list with one ``(mean, se)`` pair per
+    array, all from the one draw.  Deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
     t1, t2, rho = model.theta1, model.theta2, model.rho
     scale = math.sqrt(1.0 - rho**2)
-    sums = None
-    for lo in range(0, cfg.reps, _BLOCK):
+
+    def block(lo: int) -> tuple[bool, list[tuple[int, int]]]:
         b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
         z1 = t1 + b1
         # rho = 0 drops the terms 0*Z1 and 1*Z2, which add nothing: the
@@ -264,12 +334,18 @@ def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
         z2 = t2 + b2 if rho == 0.0 else t2 + rho * b1 + scale * b2
         out = event(z1, z2)
         arrs = out if isinstance(out, tuple) else (out,)
-        sums = sums or [(0, 0)] * len(arrs)
-        if len(arrs) != len(sums) or any(np.shape(a) != z1.shape for a in arrs):
+        if any(np.shape(a) != z1.shape for a in arrs):
             raise DomainError("event must return one value per replication")
-        sums = [(s1 + m1, s2 + m2)
-                for (s1, s2), (m1, m2) in zip(sums, map(_sums, arrs))]
+        return isinstance(out, tuple), [_sums(a) for a in arrs]
+
+    blocks = _map_blocks(block, cfg.reps)
+    if len({(is_tuple, len(sums)) for is_tuple, sums in blocks}) > 1:
+        raise DomainError("event must return the same number of arrays "
+                          "from every block")
     n = cfg.reps
-    pairs = [(s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1))))
-             for s1, s2 in sums]
-    return pairs if isinstance(out, tuple) else pairs[0]
+    pairs = []
+    # column k holds array k's (S1, S2) from every block, in block order
+    for column in zip(*(sums for _, sums in blocks)):
+        s1, s2 = (sum(s) for s in zip(*column))
+        pairs.append((s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1)))))
+    return pairs if blocks[0][0] else pairs[0]

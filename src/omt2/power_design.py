@@ -186,9 +186,13 @@ def mc_power(proc: Procedure, model: AlternativeModel,
              cfg: McConfig) -> dict[str, tuple[float, float]]:
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
-    pi_avg halves the mean and SE of the count d1 + d2, exactly.  pi_1
-    combines two semi-null runs that share the underlying normal draws;
-    its SE uses the triangle inequality, which is conservative.
+    Three `mc_estimate` passes (the alternative and the two semi-nulls)
+    call ``proc.decide_z`` once per block of 2^15 replications, on one
+    thread per CPU; the blocks' counts are exact integers, so no estimate
+    depends on the number of threads.  pi_avg halves the mean and SE
+    of the count d1 + d2, exactly.  pi_1 combines two semi-null runs that
+    share the underlying normal draws; its SE uses the triangle
+    inequality, which is conservative.
     """
     def ev_alt(z1, z2):
         d1, d2 = proc.decide_z(z1, z2)
@@ -243,8 +247,10 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
 
     Split r funds round(r * n_total) persons for the first group and
     the rest for the second; r in {0, 1} degenerates to testing the
-    funded group alone at full level alpha.
+    funded group alone at full level alpha.  A funded group needs two
+    persons, one per arm, so n_total is at least 2.
     """
+    n_total = check_count("n_total", n_total, 2)
     cfg = cfg or QuadratureConfig()
     alpha = check_alpha(alpha)
     if not r_grid:
@@ -282,8 +288,10 @@ def required_n_for_power(power_of_n: Callable[[int], float], target: float,
 
     Requires power nondecreasing in N.  Bisection on the integer grid,
     then a local downward scan to pin the minimum; Unachievable if the
-    cap does not reach the target.
+    cap does not reach the target.  n_lo and n_cap are positive integers.
     """
+    n_lo = check_count("n_lo", n_lo, 1)
+    n_cap = check_count("n_cap", n_cap, 1)
     if not 0.0 <= target < 1.0:
         if target >= 1.0:
             raise Unachievable("power strictly below 1 for any finite N")
@@ -326,6 +334,7 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     relative saving (N_required - n_reference) / N_required * 100.
     """
     n_reference = check_count("n_reference", n_reference, 1)
+    n_cap = check_count("n_cap", n_cap, 1)
     cfg = cfg or QuadratureConfig()
     baseline = hommel(alpha)
     th_ref = theta_of_n(n_reference)

@@ -10,6 +10,7 @@ from scipy.integrate import dblquad, quad
 from conftest import lr_density
 from omt2 import (AlternativeModel, DomainError, QuadratureConfig, bonferroni,
                   fwer_global, hommel, std_normal_cdf, std_normal_quantile)
+from omt2.gauss import check_alpha, clamp_pvalue
 
 
 def mp_quantile(u: float, dps: int = 50) -> float:
@@ -219,3 +220,25 @@ class TestAlternativeModel:
         m = AlternativeModel(-2.0, -3.0)
         assert m.rho == 0.0
         assert (m.theta1, m.theta2) == (-2.0, -3.0)
+
+
+class TestRealDomain:
+    """The level and p-value checks accept the same reals as the models."""
+
+    def test_numpy_alpha_accepted(self):
+        assert hommel(np.float32(0.025)).alpha == float(np.float32(0.025))
+        assert check_alpha(np.float64(0.025)) == 0.025
+
+    def test_numpy_pvalue_accepted(self):
+        assert (hommel(0.025).decide((np.float32(0.01), 0.5)).as_tuple()
+                == hommel(0.025).decide((0.01, 0.5)).as_tuple())
+
+    @pytest.mark.parametrize("p", [True, False, np.True_, "0.5", None])
+    def test_pvalue_bools_and_non_numbers_rejected(self, p):
+        with pytest.raises(DomainError):
+            clamp_pvalue(p)
+
+    @pytest.mark.parametrize("alpha", [True, False, np.True_, "0.025", None])
+    def test_alpha_bools_and_non_numbers_rejected(self, alpha):
+        with pytest.raises(DomainError):
+            check_alpha(alpha)

@@ -1,15 +1,18 @@
-"""Every module the package and its tests import is declared somewhere.
+"""What importing the package brings in, and what it leaves running.
 
 A top-level import must be a standard-library module, ``omt2`` itself,
 a module of this test directory, or the import name of a distribution
 listed in ``pyproject.toml`` (``dependencies`` or the ``test`` extra).
-A package that merely happens to be installed does not count.
+A package that merely happens to be installed does not count.  Neither
+the import nor a call leaves a thread behind.
 """
 
 import ast
 import importlib.metadata
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -56,3 +59,27 @@ def test_every_import_is_declared():
                 if not dists & declared:
                     undeclared.append(f"{path.relative_to(ROOT)}: {name}")
     assert undeclared == []
+
+
+THREAD_PROBE = """
+import threading
+counts = [threading.active_count()]
+import omt2
+counts.append(threading.active_count())
+rule, model = omt2.hommel(0.025), omt2.AlternativeModel(-2.0, -2.5)
+omt2.evaluate_power(rule, model)
+counts.append(threading.active_count())
+omt2.mc_power(rule, model, omt2.McConfig(reps=100_000))
+counts.append(threading.active_count())
+print(counts)
+"""
+
+
+def test_no_thread_at_import_or_after_a_call():
+    # a fresh interpreter: here omt2 is imported and pytest may hold threads
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[1, 1, 1, 1]"

@@ -1,6 +1,9 @@
 """Quadrature, bisection, and the counter-based Monte Carlo engine."""
 
 import math
+import sys
+import threading
+import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -11,7 +14,7 @@ import pytest
 import omt2.numerics
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
                   ObjectiveSpec, QuadratureConfig, bisect, build_omt, hommel,
-                  mc_estimate, normal_pairs, std_normal_cdf,
+                  mc_estimate, mc_power, normal_pairs, std_normal_cdf,
                   std_normal_quantile)
 from omt2.numerics import (MaxIterations, leggauss, panel_nodes, splitmix64,
                            uniforms)
@@ -248,8 +251,8 @@ class TestCountingEngine:
         ref = vals.std(ddof=1) / math.sqrt(n)
         assert abs(se - ref) <= 1e-15 * ref
 
-    # 16-bit values are never checked; 11e6^2 times a 2^16 block is just
-    # below 2^63
+    # 16-bit values are never checked; 11e6^2 times a block of 2^16 or
+    # fewer values is below 2^63
     @pytest.mark.parametrize("dtype, value", [
         (np.int16, 32767), (np.int16, -32768), (np.uint16, 65535),
         (np.int64, 11_000_000)])
@@ -330,6 +333,10 @@ class TestBlockedEngine:
             return z1 <= 0.0
         return ev
 
+    @staticmethod
+    def as_bytes(pairs):
+        return Counter((z1.tobytes(), z2.tobytes()) for z1, z2 in pairs)
+
     @pytest.mark.parametrize("block", [4096, 3000, 1 << 20, None])
     @pytest.mark.parametrize("rho", [0.0, 0.6])
     def test_block_size_leaves_estimates_unchanged(self, block, rho, omt_rule,
@@ -342,13 +349,18 @@ class TestBlockedEngine:
         for name, ev in self.events(rule).items():
             assert (mc_estimate(ev, model, self.CFG)
                     == whole_sample_mc_estimate(ev, model, self.CFG)), name
-        # the pairs the event sees, bit for bit
-        seen, want = [], []
+        # the pairs the event sees, bit for bit; the blocks may run in any
+        # order, so they are compared as multisets
+        seen, whole = [], []
         mc_estimate(self.recorder(seen), model, self.CFG)
-        whole_sample_mc_estimate(self.recorder(want), model, self.CFG)
-        for k in (0, 1):
-            assert (np.concatenate([pair[k] for pair in seen]).tobytes()
-                    == want[0][k].tobytes())
+        whole_sample_mc_estimate(self.recorder(whole), model, self.CFG)
+        (z1, z2), = whole
+        step = omt2.numerics._BLOCK
+        want = [(z1[lo:lo + step], z2[lo:lo + step])
+                for lo in range(0, len(z1), step)]
+        assert (sorted(len(b1) for b1, _ in seen)
+                == sorted(len(b1) for b1, _ in want))
+        assert self.as_bytes(seen) == self.as_bytes(want)
 
     def test_event_sees_blocks(self, fresh_draws, monkeypatch):
         monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
@@ -358,7 +370,7 @@ class TestBlockedEngine:
             sizes.append(len(z1))
             return z1 <= 0.0
         mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=10_001))
-        assert sizes == [3000, 3000, 3000, 1001]
+        assert Counter(sizes) == Counter({3000: 3, 1001: 1})
 
     @pytest.mark.parametrize("block, reps", [(None, 70_001), (3000, 10_001)])
     def test_blocked_draws_match_one_stream(self, block, reps, fresh_draws,
@@ -377,3 +389,95 @@ class TestBlockedEngine:
             with pytest.raises(ValueError):
                 zz += 1.0
         assert normal_pairs(11, 10_000)[0] is zz1
+
+
+class TestThreadedEngine:
+    """The blocks run on worker threads; no returned bit may depend on the
+    worker count, and a block's failure reaches the caller."""
+
+    CFG = McConfig(reps=200_001, seed=4242)     # seven blocks, the last short
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.5, -3.0), ALPHA)
+        return [(build_omt(spec, QuadratureConfig()), spec.model),
+                (hommel(ALPHA), AlternativeModel(-2.0, -2.5, 0.6))]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["omt", "hommel-rho0.6"])
+    def test_worker_count_leaves_mc_power_unchanged(self, case, cases,
+                                                    fresh_draws, monkeypatch):
+        rule, model = cases[case]
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: workers)
+            normal_pairs.cache_clear()
+            results.append(mc_power(rule, model, self.CFG))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("bad", ["float", "arity"])
+    def test_failure_in_a_later_block_reaches_caller(self, bad, fresh_draws,
+                                                     monkeypatch):
+        monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 4)
+
+        def ev(z1, z2):
+            hit = z1 <= 0.0
+            if len(z1) == 3000:
+                return hit
+            return hit.astype(float) if bad == "float" else (hit, hit)
+        with pytest.raises(DomainError):
+            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=10_001))
+
+    def test_first_failing_block_reaches_caller(self, fresh_draws, monkeypatch):
+        # every block fails, slowly, so that the four workers all fail:
+        # the caller sees block 0's error, as a sequential loop would
+        # raise it, and no block starts after the first failure
+        monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 4)
+        calls = []
+
+        def ev(z1, z2):
+            calls.append(len(z1))
+            time.sleep(0.02)
+            raise ValueError(repr(z1[0]))
+        first = repr(std_normal_quantile(uniforms(5, 0, 1))[0])
+        with pytest.raises(ValueError) as err:
+            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=30_000, seed=5))
+        assert str(err.value) == first
+        assert len(calls) <= 4
+
+    def test_blocks_see_the_callers_numpy_error_state(self, fresh_draws,
+                                                      monkeypatch):
+        monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 4)
+        seen = []
+
+        def ev(z1, z2):
+            seen.append(np.geterr()["divide"])
+            return z1 <= 0.0
+        with np.errstate(divide="raise"):
+            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=30_000))
+        assert seen == ["raise"] * 10
+
+    def test_concurrent_callers_get_sequential_results(self, cases, fresh_draws):
+        # four calling threads, on two seeds that share the draw cache
+        jobs = [(rule, model, McConfig(reps=100_000, seed=seed))
+                for rule, model in cases for seed in (1, 2)]
+        want = [mc_power(*job) for job in jobs]
+        normal_pairs.cache_clear()
+        got = [None] * len(jobs)
+
+        def run(i):
+            got[i] = mc_power(*jobs[i])
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want

@@ -360,6 +360,18 @@ class TestAllocation:
             allocation_search(100, (0.0, 0.0, 1.0), *RATES, [0.0, 1.0], 0.7,
                               quad_cfg)
 
+    @pytest.mark.parametrize("n_total", ["2400", 2400.7, 2400.0, True, 1, None])
+    def test_total_size_validation(self, n_total, quad_cfg):
+        with pytest.raises(DomainError, match="^n_total must be an integer"):
+            allocation_search(n_total, (0.0, 0.0, 1.0), *RATES, [0.5], ALPHA,
+                              quad_cfg)
+
+    def test_numpy_total_size_accepted(self, quad_cfg):
+        assert (allocation_search(np.int64(1200), (0.0, 0.0, 1.0), *RATES,
+                                  [0.5], ALPHA, quad_cfg)
+                == allocation_search(1200, (0.0, 0.0, 1.0), *RATES, [0.5],
+                                     ALPHA, quad_cfg))
+
 
 class TestRequiredN:
     def test_zero_target_returns_floor(self):
@@ -370,6 +382,18 @@ class TestRequiredN:
             required_n_for_power(lambda n: 0.9, 1.0)
         with pytest.raises(Unachievable):
             required_n_for_power(lambda n: 0.0, 0.5, n_cap=100)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_lo", 4.5), ("n_lo", "4"), ("n_lo", 0), ("n_cap", 100.0),
+        ("n_cap", True), ("n_cap", "x")])
+    def test_bounds_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+            required_n_for_power(lambda n: n / 100, 0.5, **{field: value})
+
+    def test_numpy_bounds_return_int(self):
+        n = required_n_for_power(lambda n: n / 100, 0.5, n_lo=np.int64(4),
+                                 n_cap=np.int32(100))
+        assert n == 50 and type(n) is int
 
     def test_minimality(self):
         power = lambda n: 1.0 - math.exp(-n / 500.0)
@@ -382,6 +406,14 @@ class TestRequiredN:
             raise AssertionError("called before n_reference was checked")
         with pytest.raises(DomainError):
             savings_report("pi_any", (1.0, 0.0, 0.0), n_ref, theta_of_n, ALPHA)
+
+    @pytest.mark.parametrize("n_cap", ["x", 200_000.0, 0, False])
+    def test_savings_cap_validation(self, n_cap):
+        def theta_of_n(n):
+            raise AssertionError("called before n_cap was checked")
+        with pytest.raises(DomainError, match="^n_cap must be an integer"):
+            savings_report("pi_any", (1.0, 0.0, 0.0), 4800, theta_of_n, ALPHA,
+                           n_cap=n_cap)
 
     def test_savings_consistency(self, quad_cfg):
         """The discrete search agrees with an independent continuous
