@@ -75,6 +75,8 @@ _BUILTINS = {
 # --procedures selections: the builtins shown after the omt columns
 _SELECTIONS = {"benchmark": ("closed_stouffer", "hommel"),
                "all": tuple(_BUILTINS)}
+# --calibration names: True selects the marginal-power calibration
+_CALIBRATIONS = {"design": False, "marginal-power": True, "marginal_power": True}
 # the optimal-rule columns of every power table: (measure, label)
 _OMT_COLUMNS = (("pi_avg", "omt_avg_any"), ("pi_1", "omt_pi1"),
                 ("pi_combo", "omt_combo"))
@@ -170,13 +172,6 @@ def _measure(name: str) -> str:
     return _choose(_MEASURE_NAMES, name, "measure")
 
 
-def _marginal_calibration(name: str) -> bool:
-    """True for the marginal-power calibration, False for the design one."""
-    if name not in ("design", "marginal-power", "marginal_power"):
-        raise ConfigError("calibration must be 'design' or 'marginal-power'")
-    return name != "design"
-
-
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
@@ -206,9 +201,9 @@ def _omt(measure: str, alpha: float, th1: float, th2: float,
 def _power_columns(selection: str, alpha: float, th1: float, th2: float,
                    qcfg: QuadratureConfig) -> list[tuple[str, Procedure]]:
     """The optimal-rule columns, then the selection's builtins."""
+    names = _choose(_SELECTIONS, selection, "procedure selection")
     cols = [(label, _omt(m, alpha, th1, th2, qcfg)) for m, label in _OMT_COLUMNS]
-    return cols + [(name, _BUILTINS[name](alpha, qcfg))
-                   for name in _SELECTIONS[selection]]
+    return cols + [(name, _BUILTINS[name](alpha, qcfg)) for name in names]
 
 
 def _power_table(cols: list[tuple[str, Procedure]],
@@ -303,8 +298,6 @@ def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     rho = cfg["rho"]
     if cfg["procedures"] is None and cfg["proc"] is None:
         raise ConfigError("need --proc NAME or --procedures benchmark|all")
-    if cfg["procedures"] not in (None, *_SELECTIONS):
-        raise ConfigError("--procedures must be 'benchmark' or 'all'")
     if rho != 0.0 and (cfg["procedures"] is not None or cfg["proc"] == "omt"):
         raise ConfigError("correlated models only evaluate builtin procedures")
     mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"]) if cfg["mc"] else None
@@ -370,7 +363,7 @@ def cmd_apex(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     th_design = tuple(theta_from_design(TwoArmDesign(
         rc, rt, cfg[f"n_control{g}"], cfg[f"n_treat{g}"])) for g in (1, 2))
     th_marg = theta_from_marginal_power(cfg["beta"], alpha)
-    if _marginal_calibration(cfg["calibration"]):
+    if _choose(_CALIBRATIONS, cfg["calibration"], "calibration"):
         th1 = th2 = th_marg
     else:
         th1, th2 = th_design
@@ -412,7 +405,7 @@ def cmd_savings(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     alpha, n_ref = cfg["alpha"], cfg["N"]
     measure = _measure(cfg["measure"])
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
-    marginal = _marginal_calibration(cfg["calibration"])
+    marginal = _choose(_CALIBRATIONS, cfg["calibration"], "calibration")
     th_ref = theta_from_marginal_power(cfg["beta"], alpha) if marginal else None
 
     def theta_of_n(n: int) -> float:

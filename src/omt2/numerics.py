@@ -9,11 +9,11 @@ taken in z-space (``z_i = quantile(p_i)``), where the density is a
 to vertical/horizontal boundaries.  Each decision region has columns of
 the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
 normal CDF and only the outer integral over z1 needs quadrature: fixed
-Gauss-Legendre panels (`panel_nodes`) split at the rule's breakpoints
-(`Procedure.z_breakpoints`).  The nodes, weights and column cuts are
-built once per (rule, z1 range, config) and reused by every event and
-model with that range (`procedures._column_plan`).  The result carries
-no error estimate.
+Gauss-Legendre panels (`panel_nodes`) split at each rule's breakpoints
+(`Procedure.z_breakpoints`).  Every ray integral takes its nodes,
+weights and column cuts from one plan per (rule set, z1 range, config),
+reused by every event and model with that range
+(`procedures._column_plan`).  The result carries no error estimate.
 
 Monte Carlo engine
 ------------------
@@ -267,15 +267,15 @@ def _map_blocks(fn: Callable[[int], object], reps: int) -> list:
     return results
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal vectors of length ``reps``.
 
     Pair k uses stream outputs k and reps+k, so the k-th replication is
     a pure function of (seed, reps, k); the blocks fill disjoint slices.
-    The most recent draws are memoized because many checks reuse the
-    same base sample; they are read-only, so no caller can change the
-    draws of the next.
+    Only the latest draws are memoized, as every caller reuses one
+    (seed, reps) at a time; they are read-only, so no caller can change
+    the draws of the next.
     """
     pair = np.empty(reps), np.empty(reps)
 

@@ -248,7 +248,8 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
     Split r funds round(r * n_total) persons for the first group and
     the rest for the second; r in {0, 1} degenerates to testing the
     funded group alone at full level alpha.  A funded group needs two
-    persons, one per arm, so n_total is at least 2.
+    persons, one per arm, so n_total is at least 2 and every split is
+    checked, before any build, to fund no group of one.
     """
     n_total = check_count("n_total", n_total, 2)
     cfg = cfg or QuadratureConfig()
@@ -258,9 +259,13 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
     grid = sorted(float(r) for r in r_grid)
     if any(not 0.0 <= r <= 1.0 for r in grid):
         raise DomainError("allocation splits must lie in [0, 1]")
+    firsts = [int(round(r * n_total)) for r in grid]
+    for r, n1 in zip(grid, firsts):
+        if 1 in (n1, n_total - n1):
+            raise DomainError(f"split r={r!r} of n_total={n_total} funds a group "
+                              "of 1 person; a funded group needs 2, one per arm")
     reports = []
-    for r in grid:
-        n1 = int(round(r * n_total))
+    for n1 in firsts:
         n2 = n_total - n1
         if n1 == 0 or n2 == 0:
             reports.append(_single_hypothesis_report(

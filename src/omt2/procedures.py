@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -217,18 +217,19 @@ def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
 
 
 @functools.lru_cache(maxsize=16)
-def _column_plan(proc: Procedure, lo: float, hi: float, cfg: QuadratureConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Panel nodes z1 and weights w on [lo, hi], split at the rule's
-    breakpoints, with both column cuts (c1, c2) at the nodes.
+def _column_plan(procs: tuple[Procedure, ...], lo: float, hi: float,
+                 cfg: QuadratureConfig) -> tuple[np.ndarray, ...]:
+    """Panel nodes z1 and weights w on [lo, hi], split at every rule's
+    breakpoints, then each rule's column cuts (c1, c2) at the nodes.
 
-    The plan depends on the rule and the range, not on the evaluation
+    Every ray integral takes its nodes and cuts from one such plan per
+    (rule set, range, config).  The plan does not depend on the evaluation
     model, so the events of `region_mass` share it whenever their models
     give the same range.  The arrays are read-only because they are shared.
     """
-    z1, w = panel_nodes(lo, hi, proc.z_breakpoints(),
+    z1, w = panel_nodes(lo, hi, [b for p in procs for b in p.z_breakpoints()],
                         cfg.panels_per_axis, cfg.nodes_per_panel)
-    plan = (z1, w, *proc.column_cuts(z1))
+    plan = (z1, w, *(c for p in procs for c in p.column_cuts(z1)))
     for arr in plan:
         arr.setflags(write=False)
     return plan
@@ -257,7 +258,7 @@ def region_mass(proc: Procedure, which: str,
 
     lo = min(m1 - Z_RANGE, za - 1.0)
     hi = max(m1 + Z_RANGE, za + 1.0)
-    z1, w, c1, c2 = _column_plan(proc, lo, hi, cfg)
+    z1, w, c1, c2 = _column_plan((proc,), lo, hi, cfg)
     cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
     # no special case; a NaN cut surfaces as a non-finite mass
@@ -271,15 +272,12 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
 
     Per column the disagreement set is the union of at most two
     intervals (one per hypothesis); its null mass is computed exactly
-    and integrated over z1.
+    and integrated over z1.  Like every ray integral it takes its nodes
+    and cuts from one plan per (rule set, range, config): here the pair's
+    `_column_plan`, at twice the configured panels.
     """
-    lo, hi = -Z_RANGE - 4.0, Z_RANGE
-    breaks = pa.z_breakpoints() + pb.z_breakpoints()
-    z1, w = panel_nodes(lo, hi, breaks, 2 * cfg.panels_per_axis,
-                        cfg.nodes_per_panel)
-    a1, a2 = pa.column_cuts(z1)
-    b1, b2 = pb.column_cuts(z1)
-
+    wide = replace(cfg, panels_per_axis=2 * cfg.panels_per_axis)
+    z1, w, a1, a2, b1, b2 = _column_plan((pa, pb), -Z_RANGE - 4.0, Z_RANGE, wide)
     lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
     lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
 

@@ -285,6 +285,24 @@ class TestApexCalibrationModes:
         assert code == 2
 
 
+class TestNameLookups:
+    """Every name option is checked by one lookup that lists its choices."""
+
+    @pytest.mark.parametrize("argv, choices", [
+        (["power", "--procedures", "everything", "--theta1", "-2", "--theta2", "-2"],
+         "['all', 'benchmark']"),
+        (["apex", "--calibration", "bogus", "--skip-power"],
+         "['design', 'marginal-power', 'marginal_power']"),
+        (["savings", "--calibration", "bogus"],
+         "['design', 'marginal-power', 'marginal_power']"),
+    ], ids=["procedures", "apex-calibration", "savings-calibration"])
+    def test_unknown_name_lists_the_choices(self, argv, choices, capsys):
+        assert run(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown ")
+        assert err.endswith(f"(choose from {choices})\n")
+
+
 class TestSavingsCommand:
     def test_pi_any_savings_consistent_with_api(self):
         code, out = run(["savings", "--measure", "pi_any", "--N", "4800"])

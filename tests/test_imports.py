@@ -4,7 +4,8 @@ A top-level import must be a standard-library module, ``omt2`` itself,
 a module of this test directory, or the import name of a distribution
 listed in ``pyproject.toml`` (``dependencies`` or the ``test`` extra).
 A package that merely happens to be installed does not count.  Neither
-the import nor a call leaves a thread behind.
+the import nor a call leaves a thread behind.  Quadrature nodes have one
+builder in the package, so a second panel path cannot come back unseen.
 """
 
 import ast
@@ -59,6 +60,32 @@ def test_every_import_is_declared():
                 if not dists & declared:
                     undeclared.append(f"{path.relative_to(ROOT)}: {name}")
     assert undeclared == []
+
+
+def calls_of(name: str, path: pathlib.Path) -> list[str]:
+    """Dotted scope ('module.Class.function') of every call of ``name``,
+    plain or as an attribute, in one file."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    found.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_panel_nodes_has_one_caller():
+    callers = [scope for path in sorted((ROOT / "src" / "omt2").rglob("*.py"))
+               for scope in calls_of("panel_nodes", path)]
+    assert callers == ["procedures._column_plan"]
 
 
 THREAD_PROBE = """

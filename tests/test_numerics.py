@@ -460,7 +460,8 @@ class TestThreadedEngine:
         assert seen == ["raise"] * 10
 
     def test_concurrent_callers_get_sequential_results(self, cases, fresh_draws):
-        # four calling threads, on two seeds that share the draw cache
+        # four calling threads, on two seeds that take turns in the one-entry
+        # draw memo
         jobs = [(rule, model, McConfig(reps=100_000, seed=seed))
                 for rule, model in cases for seed in (1, 2)]
         want = [mc_power(*job) for job in jobs]

@@ -366,6 +366,26 @@ class TestAllocation:
             allocation_search(n_total, (0.0, 0.0, 1.0), *RATES, [0.5], ALPHA,
                               quad_cfg)
 
+    @pytest.mark.parametrize("n_total, grid", [
+        (5, [0.2]), (3, [0.5]), (2, [0.5]), (1200, [0.5, 0.9995])])
+    def test_group_of_one_names_the_split(self, n_total, grid, quad_cfg,
+                                          monkeypatch):
+        # every split is checked before the first rule is built
+        monkeypatch.setattr(omt2.power_design, "build_omt",
+                            lambda *a: pytest.fail("built before the check"))
+        with pytest.raises(DomainError, match=rf"^split r=\S+ of n_total={n_total} "
+                           "funds a group of 1 person"):
+            allocation_search(n_total, (0.0, 0.0, 1.0), 0.1, 0.07, grid, ALPHA,
+                              quad_cfg)
+
+    def test_smallest_total_funds_one_group(self, quad_cfg):
+        # one person per arm: each degenerate split tests that group alone
+        res = allocation_search(2, (0.0, 0.0, 1.0), *RATES, [0.0, 1.0], ALPHA,
+                                quad_cfg)
+        beta = float(std_normal_cdf(ZA - theta_for_group(2, *RATES)))
+        assert res.reports[0] == res.reports[1]
+        assert res.reports[0].pi_any == beta
+
     def test_numpy_total_size_accepted(self, quad_cfg):
         assert (allocation_search(np.int64(1200), (0.0, 0.0, 1.0), *RATES,
                                   [0.5], ALPHA, quad_cfg)

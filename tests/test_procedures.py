@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from conftest import lr_density, measure_spec
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
@@ -15,7 +16,7 @@ from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
                   region_mass, region_symmetric_difference, score_pieces,
                   score_z, std_normal_quantile)
-from omt2 import procedures
+from omt2 import numerics, procedures
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -405,8 +406,26 @@ class TestRayMassGuards:
             call(quad_cfg)
 
 
+def inline_symmetric_difference(pa, pb, cfg):
+    """`region_symmetric_difference` written out with its own nodes and
+    cuts, as it was before it took them from `_column_plan`."""
+    z1, w = numerics.panel_nodes(-numerics.Z_RANGE - 4.0, numerics.Z_RANGE,
+                                 pa.z_breakpoints() + pb.z_breakpoints(),
+                                 2 * cfg.panels_per_axis, cfg.nodes_per_panel)
+    a1, a2 = pa.column_cuts(z1)
+    b1, b2 = pb.column_cuts(z1)
+    lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
+    lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
+    mass = (ndtr(hi1) - ndtr(lo1)) + (ndtr(hi2) - ndtr(lo2))
+    olo, ohi = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+    mass = mass - np.where(ohi > olo, ndtr(ohi) - ndtr(olo), 0.0)
+    pdf1 = np.exp(-0.5 * z1 ** 2) / math.sqrt(2.0 * math.pi)
+    return float(np.sum(w * pdf1 * mass))
+
+
 class TestColumnPlan:
-    """`region_mass` builds nodes and cuts once per (rule, range, config)."""
+    """Every ray integral builds nodes and cuts once per (rule set, range,
+    config)."""
 
     @pytest.fixture()
     def panel_builds(self, monkeypatch):
@@ -438,10 +457,38 @@ class TestColumnPlan:
         assert region_mass(proc, "any", model, quad_cfg) == first
 
     def test_plan_arrays_are_read_only(self, quad_cfg):
-        plan = procedures._column_plan(hommel(ALPHA), -11.5, 9.5, quad_cfg)
+        plan = procedures._column_plan((hommel(ALPHA),), -11.5, 9.5, quad_cfg)
         for arr in plan:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    def test_symmetric_difference_builds_one_plan(self, panel_builds, quad_cfg):
+        pa = Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37)
+        pb = hommel(ALPHA)
+        region_symmetric_difference(pa, pb, quad_cfg)
+        assert len(panel_builds) == 1
+        _, _, breaks, panels, order = panel_builds[0]
+        assert breaks == pa.z_breakpoints() + pb.z_breakpoints()
+        assert panels == 2 * quad_cfg.panels_per_axis
+        assert order == quad_cfg.nodes_per_panel
+
+    def test_repeat_symmetric_difference_builds_none(self, panel_builds,
+                                                     quad_cfg):
+        pa = Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37)
+        first = region_symmetric_difference(pa, hommel(ALPHA), quad_cfg)
+        assert region_symmetric_difference(pa, hommel(ALPHA), quad_cfg) == first
+        assert len(panel_builds) == 1
+
+    @pytest.mark.parametrize("pair", [
+        (Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37), hommel(ALPHA)),
+        (bonferroni(ALPHA), closed_stouffer(ALPHA)),
+        (fixed_sequence(ALPHA), hommel(ALPHA)),
+        (hommel(ALPHA), hommel(ALPHA)),
+    ], ids=["omt-hommel", "bonferroni-stouffer", "sequence-hommel", "self"])
+    def test_symmetric_difference_matches_inline_integral(self, pair, quad_cfg):
+        procedures._column_plan.cache_clear()
+        assert (region_symmetric_difference(*pair, quad_cfg)
+                == inline_symmetric_difference(*pair, quad_cfg))
 
     @pytest.mark.parametrize("w", [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)])
     @pytest.mark.parametrize("t_score", [1e-300, 1e300])
