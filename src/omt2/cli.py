@@ -450,12 +450,18 @@ _COMMANDS = {name: ({**keys, "quad_profile": (str, None)}, command)
                  ("savings", _SAVINGS_KEYS, cmd_savings))}
 
 
+# argparse reads -3 and -0.5 after a flag as values, but takes -1e-9 or
+# -inf for an unknown option
+_NEGATIVE_VALUES = ("A negative value in exponent notation, or -inf, is given "
+                    "with '=': --theta1=-1e-9, --z-lo=-1e308.")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omt2", description="Optimal two-hypothesis testing procedures and design")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (keys, _) in _COMMANDS.items():
-        _add_common(subs.add_parser(name), keys)
+        _add_common(subs.add_parser(name, epilog=_NEGATIVE_VALUES), keys)
     return parser
 
 

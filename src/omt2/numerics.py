@@ -33,15 +33,17 @@ normal deviates are produced by the inverse-CDF transform
 stay in cache, and run the blocks on one thread per CPU this process may
 run on: the calling thread and a pool of workers (numpy and scipy
 release the interpreter lock inside their loops).  The pool lives only
-for the call: no thread starts at import or outlives a call.  The event is called once per
-block, possibly at the same time as other blocks and in any order, so
-it must be a pure elementwise function: value k may depend only on
-replication k's pair (z1[k], z2[k]).  Its values are bool indicators or
-small integer counts, whose exact per-block sums of x and x^2 replace
-full-length arrays.  The draws of a block are a pure function of
-(seed, reps, block), and integer addition is exact, so no estimate can
-depend on the block size, the worker count or the order in which the
-blocks finish.
+for the call: no thread starts at import or outlives a call.
+`mc_estimate` takes a tuple of models, all shifts of the one draw, and
+calls the event once per block with one (z1, z2) pair per model,
+possibly at the same time as other blocks and in any order, so it must
+be a pure elementwise function: value k may depend only on replication
+k's pairs.  It returns a tuple of arrays of bool indicators or small
+integer counts, whose exact per-block sums of x and x^2 replace
+full-length arrays, and `mc_estimate` returns a list of one (mean, se)
+per array.  The draws of a block are a pure function of (seed, reps,
+block), and integer addition is exact, so no estimate can depend on the
+block size, the worker count or the order in which the blocks finish.
 """
 
 from __future__ import annotations
@@ -98,23 +100,35 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
 
 
+# Largest replication count: the cached draws are two float64 arrays of
+# reps values, 1 GiB at 2^26.
+MAX_REPS = 1 << 26
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count and seed for the Monte Carlo oracle."""
+    """Replication count and seed for the Monte Carlo oracle.
+
+    reps lies in [10_000, MAX_REPS = 2^26], so the cached draws stay at
+    or below 1 GiB; seed in [0, 2^64).
+    """
 
     reps: int = 1_000_000
     seed: int = 20260810
 
     def __post_init__(self):
-        object.__setattr__(self, "reps", check_count("reps", self.reps, 10_000))
+        object.__setattr__(self, "reps", check_count("reps", self.reps, 10_000,
+                                                     MAX_REPS + 1))
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 2**64))
 
 
 def check_count(name: str, v, lo: int, hi: float = math.inf) -> int:
     """v as a Python int; DomainError unless it is an integer in [lo, hi)
-    (a numpy integer passes; a bool, a float or a string does not)."""
+    (a numpy integer passes; a bool, a float or a string does not).  The
+    message names a finite bound inclusively, as [lo, hi - 1]."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
-        raise DomainError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+        bounds = f"[{lo}, inf)" if hi == math.inf else f"[{lo}, {hi - 1}]"
+        raise DomainError(f"{name} must be an integer in {bounds}, got {v!r}")
     return int(v)
 
 
@@ -303,49 +317,51 @@ def _sums(vals: np.ndarray) -> tuple[int, int]:
     return int(x.sum()), int(x @ x)
 
 
-def mc_estimate(event: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                model: AlternativeModel, cfg: McConfig
-                ) -> tuple[float, float] | list[tuple[float, float]]:
-    """Monte Carlo mean and standard error of ``event(z1, z2)``.
+def _second(t2: float, rho: float, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 on a block, less the terms that add nothing."""
+    if rho == 0.0:
+        return b2 if t2 == 0.0 else t2 + b2
+    scale = math.sqrt(1.0 - rho**2)
+    return rho * b1 + scale * b2 if t2 == 0.0 else t2 + rho * b1 + scale * b2
 
-    Draws z1 = theta1 + Z1, z2 = theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 and
-    evaluates the event on blocks of ``_BLOCK`` replications, run on one
-    thread per CPU (the caller and a pool of workers).  The event is called once per block, possibly
-    at the same time as other blocks and in any order, so it must be a
-    pure elementwise function: one bool or small integer value per
-    replication from that replication's pair alone (a float dtype raises
-    DomainError).  Each block returns the exact sums S1 of x and S2 of
-    x^2, which are added as Python ints in block order once every block
-    has finished: the mean S1/n is correctly rounded, the SE
-    sqrt((n*S2 - S1^2) / (n^2 (n-1))) within an ulp, and neither depends
-    on the block size, the worker count or the order the blocks finish
-    in.  A tuple of arrays gets a list with one ``(mean, se)`` pair per
-    array, all from the one draw.  Deterministic for fixed (seed, reps).
+
+def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
+                models: Sequence[AlternativeModel], cfg: McConfig
+                ) -> list[tuple[float, float]]:
+    """Mean and SE of each array of ``event(z1_a, z2_a, z1_b, z2_b, ...)``.
+
+    Model m shifts the one draw to z1 = theta1 + Z1 and z2 = theta2 +
+    rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model: a block
+    forms each distinct shifted vector once, and passes the draw itself
+    for a zero shift (the draws are never +-0, so 0.0 + b is b).  It is
+    called once per block of ``_BLOCK`` replications, on one thread per
+    CPU and in any order, and returns a tuple of bool or small integer
+    arrays (a float dtype raises DomainError).  Each array's exact sums S1
+    of x and S2 of x^2 are added as Python ints in block order: the mean
+    S1/n is correctly rounded, the SE sqrt((n*S2 - S1^2) / (n^2 (n-1)))
+    within an ulp, and neither depends on the block size, the worker
+    count or the finishing order.  Returns one ``(mean, se)`` per array;
+    deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
-    t1, t2, rho = model.theta1, model.theta2, model.rho
-    scale = math.sqrt(1.0 - rho**2)
+    firsts = {m.theta1 for m in models}
+    seconds = {(m.theta2, m.rho) for m in models}
 
-    def block(lo: int) -> tuple[bool, list[tuple[int, int]]]:
+    def block(lo: int) -> list[tuple[int, int]]:
         b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
-        z1 = t1 + b1
-        # rho = 0 drops the terms 0*Z1 and 1*Z2, which add nothing: the
-        # draws are never +-0, so the sum is unchanged bit for bit
-        z2 = t2 + b2 if rho == 0.0 else t2 + rho * b1 + scale * b2
-        out = event(z1, z2)
-        arrs = out if isinstance(out, tuple) else (out,)
-        if any(np.shape(a) != z1.shape for a in arrs):
-            raise DomainError("event must return one value per replication")
-        return isinstance(out, tuple), [_sums(a) for a in arrs]
+        z1 = {t1: b1 if t1 == 0.0 else t1 + b1 for t1 in firsts}
+        z2 = {key: _second(*key, b1, b2) for key in seconds}
+        out = event(*(z for m in models for z in (z1[m.theta1], z2[m.theta2, m.rho])))
+        if any(np.shape(a) != b1.shape for a in out):
+            raise DomainError("event must return a tuple of arrays, "
+                              "one value per replication")
+        return [_sums(a) for a in out]
 
     blocks = _map_blocks(block, cfg.reps)
-    if len({(is_tuple, len(sums)) for is_tuple, sums in blocks}) > 1:
-        raise DomainError("event must return the same number of arrays "
-                          "from every block")
+    if len({len(sums) for sums in blocks}) > 1:
+        raise DomainError("event must return the same number of arrays from every block")
     n = cfg.reps
-    pairs = []
     # column k holds array k's (S1, S2) from every block, in block order
-    for column in zip(*(sums for _, sums in blocks)):
-        s1, s2 = (sum(s) for s in zip(*column))
-        pairs.append((s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1)))))
-    return pairs if blocks[0][0] else pairs[0]
+    sums = [[sum(s) for s in zip(*column)] for column in zip(*blocks)]
+    return [(s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1))))
+            for s1, s2 in sums]

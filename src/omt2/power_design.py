@@ -156,8 +156,7 @@ def _semi_null(model: AlternativeModel, which: int) -> AlternativeModel:
 
 def _measures(pany: float, pavg: float, semi1: float, semi2: float) -> dict[str, float]:
     """The four measures from pany = P(d1 or d2), pavg = (E d1 + E d2)/2
-    and semi_k = P(d_k) when only H_k is false.  The map is linear, so it
-    also carries Monte Carlo SEs (summed, a conservative bound)."""
+    and semi_k = P(d_k) when only H_k is false."""
     pi_1 = 0.5 * (semi1 + semi2)
     return {"pi_any": pany, "pi_avg": pavg, "pi_1": pi_1,
             "pi_combo": pany / 3.0 + 2.0 * pi_1 / 3.0}
@@ -186,25 +185,23 @@ def mc_power(proc: Procedure, model: AlternativeModel,
              cfg: McConfig) -> dict[str, tuple[float, float]]:
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
-    Three `mc_estimate` passes (the alternative and the two semi-nulls)
-    call ``proc.decide_z`` once per block of 2^15 replications, on one
-    thread per CPU; the blocks' counts are exact integers, so no estimate
-    depends on the number of threads.  pi_avg halves the mean and SE
-    of the count d1 + d2, exactly.  pi_1 combines two semi-null runs that
-    share the underlying normal draws; its SE uses the triangle
-    inequality, which is conservative.
+    One `mc_estimate` pass decides the alternative and both semi-nulls on
+    the same draws (s_k is semi-null k's decision).  Each SE is that of
+    the measure's per-replication value, any, (d1 + d2)/2, (s1 + s2)/2 or
+    (any + s1 + s2)/3: exact, the covariance between the models included.
     """
-    def ev_alt(z1, z2):
+    def event(z1, z2, x1, x2, y1, y2):
         d1, d2 = proc.decide_z(z1, z2)
-        return d1 | d2, np.add(d1, d2, dtype=np.int8)
+        s1, s2 = proc.decide_z(x1, x2)[0], proc.decide_z(y1, y2)[1]
+        hit, one = d1 | d2, np.add(s1, s2, dtype=np.int8)
+        return hit, np.add(d1, d2, dtype=np.int8), s1, s2, one, hit + one
 
-    (pany, se_any), (count, se_count) = mc_estimate(ev_alt, model, cfg)
-    m1, se1 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[0],
-                          _semi_null(model, 1), cfg)
-    m2, se2 = mc_estimate(lambda z1, z2: proc.decide_z(z1, z2)[1],
-                          _semi_null(model, 2), cfg)
+    models = (model, _semi_null(model, 1), _semi_null(model, 2))
+    ((pany, se_any), (count, se_count), (m1, _), (m2, _), (_, se_one),
+     (_, se_all)) = mc_estimate(event, models, cfg)
     means = _measures(pany, 0.5 * count, m1, m2)
-    ses = _measures(se_any, 0.5 * se_count, se1, se2)
+    ses = {"pi_any": se_any, "pi_avg": 0.5 * se_count, "pi_1": 0.5 * se_one,
+           "pi_combo": se_all / 3.0}
     return {m: (means[m], ses[m]) for m in means}
 
 

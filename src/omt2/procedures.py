@@ -441,15 +441,21 @@ class RegionGrid:
         return buf.getvalue()
 
 
+# Largest region grid side; see `export_region`.
+MAX_GRID = 1 << 12
+
+
 def export_region(proc: Procedure, grid_size: int,
                   z_lo: float = -4.0, z_hi: float = 0.0) -> RegionGrid:
     """Classify decisions at the centers of a grid_size^2 z-grid.
 
     The nearest interior edges are snapped onto z = quantile(alpha) and
     z = quantile(alpha/2) so cells never straddle those rule
-    boundaries.
+    boundaries.  grid_size lies in [16, MAX_GRID = 4096]: the call's
+    arrays take about 50 bytes per cell for an omt rule, a peak of
+    816 MiB at the bound.
     """
-    grid_size = check_count("grid_size", grid_size, 16)
+    grid_size = check_count("grid_size", grid_size, 16, MAX_GRID + 1)
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_hi > z_lo):
         raise DomainError("z_lo and z_hi must be finite with z_hi > z_lo")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from omt2 import (MEASURE_WEIGHTS, DomainError, McConfig, ObjectiveSpec,
                   QuadratureConfig, score_z, std_normal_quantile)
+from omt2.numerics import uniforms
 
 # Registry filled by test_acceptance; printed as one line per criterion
 # at the end of the run.
@@ -46,6 +49,44 @@ def score(spec: ObjectiveSpec, p: tuple[float, float]) -> float:
     p1, p2 = p
     _check_p(p1, p2)
     return float(score_z(spec, std_normal_quantile(p1), std_normal_quantile(p2)))
+
+
+# -- whole-sample Monte Carlo reference: no blocks, no threads ----------
+
+def exact_sums(vals):
+    """(sum x, sum x^2) as Python ints, by counting each distinct value."""
+    counts = Counter(np.asarray(vals).tolist())
+    return (sum(int(v) * c for v, c in counts.items()),
+            sum(int(v) ** 2 * c for v, c in counts.items()))
+
+
+def exact_se_squared(s1, s2, n):
+    """The squared standard error (n*S2 - S1^2) / (n^2 (n-1)), exactly."""
+    return Fraction(n * s2 - s1 * s1, n * n * (n - 1))
+
+
+def whole_draws(cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's (Z1, Z2) as one full-length draw each."""
+    u = uniforms(cfg.seed, 0, 2 * cfg.reps)
+    return std_normal_quantile(u[:cfg.reps]), std_normal_quantile(u[cfg.reps:])
+
+
+def shifted(model, zz1, zz2) -> tuple[np.ndarray, np.ndarray]:
+    """One model's (z1, z2) by its full formula, no term dropped."""
+    return (model.theta1 + zz1,
+            model.theta2 + model.rho * zz1 + math.sqrt(1.0 - model.rho**2) * zz2)
+
+
+def whole_sample_mc_estimate(event, models, cfg):
+    """Reference engine: one draw and one event call on the whole sample,
+    then each array's mean S1/n and SE from its exact sums."""
+    zz1, zz2 = whole_draws(cfg)
+    pairs = []
+    for arr in event(*(z for m in models for z in shifted(m, zz1, zz2))):
+        s1, s2 = exact_sums(arr)
+        pairs.append((float(Fraction(s1, cfg.reps)),
+                      math.sqrt(exact_se_squared(s1, s2, cfg.reps))))
+    return pairs
 
 
 @pytest.fixture(scope="session")

@@ -84,7 +84,7 @@ def exact_level_state(qcfg, mcc):
         quad = fwer_global(proc, 0.0, qcfg)
         max_quad_dev = max(max_quad_dev, abs(quad - ALPHA))
         mean, se = mc_estimate(
-            lambda z1, z2: np.logical_or(*proc.decide_z(z1, z2)), null, mcc)
+            lambda z1, z2: (np.logical_or(*proc.decide_z(z1, z2)),), (null,), mcc)[0]
         max_mc_z = max(max_mc_z, abs(mean - ALPHA) / se)
     elapsed = time.perf_counter() - t0
     ok = max_quad_dev <= 1e-6 and max_mc_z <= 3.0 and elapsed < 5.0

@@ -498,6 +498,43 @@ class TestMeasureNames:
         assert run(argv + ["pi_everything"]) == (2, "")
 
 
+class TestInputBounds:
+    """Sizes above their documented bound fail at once, before any large
+    array is allocated, and the message names the bound."""
+
+    @pytest.mark.parametrize("grid", ["4097", "100000000"])
+    def test_region_grid_above_bound(self, grid, capsys):
+        assert run(["region", "--proc", "hommel", "--grid", grid, "--out", "-"]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"configuration error: grid_size must be an integer in [16, 4096], got {grid}\n")
+
+    def test_mc_reps_above_bound(self, capsys):
+        argv = ["power", "--proc", "hommel", "--theta1", "-2", "--theta2", "-2", "--mc"]
+        assert run(argv + ["--reps", str(2**26 + 1)]) == (2, "")
+        assert capsys.readouterr().err == ("configuration error: reps must be an integer "
+                                           "in [10000, 67108864], got 67108865\n")
+
+
+class TestNegativeValues:
+    """A negative value in any notation is given after '=', as the help
+    says; argparse takes -1e-9 after a space for an unknown option."""
+
+    @pytest.mark.parametrize("argv, line", [
+        ("power --proc hommel --theta1=-1e-9 --theta2=-3", "theta = (-1e-09, -3)"),
+        ("power --proc hommel --theta1=-1e300 --theta2=-3 --dump-config",
+         "theta1 = -1e+300"),
+        ("region --proc hommel --z-lo=-1e308 --dump-config", "z_lo = -1e+308"),
+    ])
+    def test_joined_value_is_read(self, argv, line):
+        code, out = run(argv.split())
+        assert code == 0 and line in out
+
+    @pytest.mark.parametrize("command", list(cli_mod._COMMANDS))
+    def test_help_names_the_joined_form(self, command, capsys):
+        assert run([command, "--help"])[0] == 0
+        assert "--theta1=-1e-9" in " ".join(capsys.readouterr().out.split())
+
+
 def python_m_omt2():
     """argv and env that run ``python -m omt2`` on the omt2 under test."""
     import os

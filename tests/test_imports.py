@@ -82,10 +82,18 @@ def calls_of(name: str, path: pathlib.Path) -> list[str]:
     return found
 
 
+def callers_in_src(name: str) -> list[str]:
+    return [scope for path in sorted((ROOT / "src" / "omt2").rglob("*.py"))
+            for scope in calls_of(name, path)]
+
+
 def test_panel_nodes_has_one_caller():
-    callers = [scope for path in sorted((ROOT / "src" / "omt2").rglob("*.py"))
-               for scope in calls_of("panel_nodes", path)]
-    assert callers == ["procedures._column_plan"]
+    assert callers_in_src("panel_nodes") == ["procedures._column_plan"]
+
+
+def test_mc_estimate_has_one_caller():
+    # one Monte Carlo pass decides every model of a power estimate
+    assert callers_in_src("mc_estimate") == ["power_design.mc_power"]
 
 
 THREAD_PROBE = """

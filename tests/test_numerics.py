@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import omt2.numerics
+from conftest import (exact_se_squared, exact_sums, shifted, whole_draws,
+                      whole_sample_mc_estimate)
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
                   ObjectiveSpec, QuadratureConfig, bisect, build_omt, hommel,
                   mc_estimate, mc_power, normal_pairs, std_normal_cdf,
@@ -131,38 +133,38 @@ class TestSplitmix64:
 
 class TestMcEstimate:
     def test_constant_event(self, mc_cfg):
-        mean, se = mc_estimate(lambda z1, z2: np.ones_like(z1, dtype=bool),
-                               AlternativeModel(0.0, 0.0), mc_cfg)
+        mean, se = mc_estimate(lambda z1, z2: (np.ones_like(z1, dtype=bool),),
+                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
         assert mean == 1.0 and se == 0.0
 
     def test_marginal_tail_probability(self, mc_cfg):
         za = std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: z1 <= za,
-                               AlternativeModel(0.0, 0.0), mc_cfg)
+        mean, se = mc_estimate(lambda z1, z2: (z1 <= za,),
+                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_sum_statistic_tail(self, mc_cfg):
         thresh = math.sqrt(2.0) * std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: (z1 + z2) <= thresh,
-                               AlternativeModel(0.0, 0.0), mc_cfg)
+        mean, se = mc_estimate(lambda z1, z2: ((z1 + z2) <= thresh,),
+                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_correlated_shift_model(self, mc_cfg):
         # z2 ~ N(theta2, 1) marginally for any rho
         model = AlternativeModel(-1.0, -2.0, 0.6)
         za = std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: z2 <= za, model, mc_cfg)
+        mean, se = mc_estimate(lambda z1, z2: (z2 <= za,), (model,), mc_cfg)[0]
         expected = float(std_normal_cdf(za + 2.0))
         assert abs(mean - expected) <= 3 * se
 
     def test_seeded_determinism(self):
         cfg = McConfig(reps=50_000, seed=4242)
         model = AlternativeModel(-1.0, -1.0)
-        ev = lambda z1, z2: (z1 <= -1.0) & (z2 <= -0.5)
-        first = mc_estimate(ev, model, cfg)
-        second = mc_estimate(ev, model, cfg)
+        ev = lambda z1, z2: ((z1 <= -1.0) & (z2 <= -0.5),)
+        first = mc_estimate(ev, (model,), cfg)[0]
+        second = mc_estimate(ev, (model,), cfg)[0]
         assert first == second
-        other = mc_estimate(ev, model, McConfig(reps=50_000, seed=4243))
+        other = mc_estimate(ev, (model,), McConfig(reps=50_000, seed=4243))[0]
         assert other != first
 
     def test_tuple_event_matches_one_call_per_array(self):
@@ -170,19 +172,34 @@ class TestMcEstimate:
         cfg = McConfig(reps=50_000, seed=77)
         model = AlternativeModel(-2.0, -2.5, 0.3)
         rule = hommel(ALPHA)
-        both = mc_estimate(rule.decide_z, model, cfg)
-        assert both == [mc_estimate(lambda z1, z2: rule.decide_z(z1, z2)[k],
-                                    model, cfg) for k in (0, 1)]
+        both = mc_estimate(rule.decide_z, (model,), cfg)
+        assert both == [mc_estimate(lambda z1, z2: (rule.decide_z(z1, z2)[k],),
+                                    (model,), cfg)[0] for k in (0, 1)]
         assert all(type(v) is float for pair in both for v in pair)
 
     def test_event_shape_checked_per_array(self):
         with pytest.raises(DomainError):
             mc_estimate(lambda z1, z2: (z1 <= 0.0, z2[:10] <= 0.0),
-                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
+
+    def test_event_returns_a_tuple(self):
+        # a bare array is not a tuple of arrays, even of one
+        with pytest.raises(DomainError, match="tuple"):
+            mc_estimate(lambda z1, z2: z1 <= 0.0,
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
     def test_reps_floor(self):
         with pytest.raises(DomainError):
             McConfig(reps=100)
+
+    def test_reps_ceiling(self):
+        # checked before any draw, so nothing large is allocated
+        assert McConfig(reps=omt2.numerics.MAX_REPS).reps == 2**26
+        bound = r"^reps must be an integer in \[10000, 67108864\], got "
+        with pytest.raises(DomainError, match=bound + "67108865$"):
+            McConfig(reps=omt2.numerics.MAX_REPS + 1)
+        with pytest.raises(DomainError, match=bound):
+            McConfig(reps=10**12)
 
     @pytest.mark.parametrize("kwargs", [
         {"reps": 1e6}, {"reps": 20_000.0}, {"reps": "20000"}, {"reps": True},
@@ -198,18 +215,6 @@ class TestMcEstimate:
         assert type(cfg.reps) is int and type(cfg.seed) is int
 
 
-def exact_sums(vals):
-    """(sum x, sum x^2) as Python ints, by counting each distinct value."""
-    counts = Counter(np.asarray(vals).tolist())
-    return (sum(int(v) * c for v, c in counts.items()),
-            sum(int(v) ** 2 * c for v, c in counts.items()))
-
-
-def exact_se_squared(s1, s2, n):
-    """The squared standard error (n*S2 - S1^2) / (n^2 (n-1)), exactly."""
-    return Fraction(n * s2 - s1 * s1, n * n * (n - 1))
-
-
 class TestCountingEngine:
     """Exact per-block sums: the mean is S1/n correctly rounded and the
     SE is within an ulp or two of its exact value."""
@@ -222,19 +227,19 @@ class TestCountingEngine:
         zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
         z2 = (model.theta2 + model.rho * zz1
               + math.sqrt(1.0 - model.rho**2) * zz2)
-        return event(model.theta1 + zz1, z2)
+        return event(model.theta1 + zz1, z2)[0]
 
     EVENTS = {
-        "bool": lambda z1, z2: hommel(ALPHA).decide_z(z1, z2)[0],
-        "int8": lambda z1, z2: np.add(*hommel(ALPHA).decide_z(z1, z2),
-                                      dtype=np.int8),
-        "int64": lambda z1, z2: (z1 <= -2.0).astype(np.int64) - (z2 <= -3.0),
+        "bool": lambda z1, z2: (hommel(ALPHA).decide_z(z1, z2)[0],),
+        "int8": lambda z1, z2: (np.add(*hommel(ALPHA).decide_z(z1, z2),
+                                       dtype=np.int8),),
+        "int64": lambda z1, z2: ((z1 <= -2.0).astype(np.int64) - (z2 <= -3.0),),
     }
 
     @pytest.mark.parametrize("name", sorted(EVENTS))
     def test_exact_oracle(self, name):
         ev, n = self.EVENTS[name], self.CFG.reps
-        mean, se = mc_estimate(ev, self.MODEL, self.CFG)
+        mean, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
         s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
         assert s1 > 0 and mean == s1 / n == float(Fraction(s1, n))
         se2 = exact_se_squared(s1, s2, n)
@@ -246,7 +251,7 @@ class TestCountingEngine:
     @pytest.mark.parametrize("name", sorted(EVENTS))
     def test_se_matches_whole_sample_std(self, name):
         ev, n = self.EVENTS[name], self.CFG.reps
-        _, se = mc_estimate(ev, self.MODEL, self.CFG)
+        _, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
         vals = self.outputs(ev, self.MODEL, self.CFG).astype(float)
         ref = vals.std(ddof=1) / math.sqrt(n)
         assert abs(se - ref) <= 1e-15 * ref
@@ -257,8 +262,8 @@ class TestCountingEngine:
         (np.int16, 32767), (np.int16, -32768), (np.uint16, 65535),
         (np.int64, 11_000_000)])
     def test_wide_integer_values_stay_exact(self, dtype, value):
-        ev = lambda z1, z2: np.where(z1 <= 0.0, value, 0).astype(dtype)
-        mean, se = mc_estimate(ev, self.MODEL, self.CFG)
+        ev = lambda z1, z2: (np.where(z1 <= 0.0, value, 0).astype(dtype),)
+        mean, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
         s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
         assert mean == float(Fraction(s1, self.CFG.reps))
         assert se == pytest.approx(math.sqrt(exact_se_squared(s1, s2, self.CFG.reps)),
@@ -267,34 +272,18 @@ class TestCountingEngine:
     @pytest.mark.parametrize("value", [2**32, -(2**32), 2**63 - 1])
     def test_integer_values_too_large_for_exact_sums(self, value):
         with pytest.raises(DomainError, match="too large"):
-            mc_estimate(lambda z1, z2: np.where(z1 <= 0.0, value, 0).astype(np.int64),
-                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+            mc_estimate(lambda z1, z2: (np.where(z1 <= 0.0, value, 0)
+                                        .astype(np.int64),),
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
     def test_float_event_rejected(self, dtype):
         with pytest.raises(DomainError, match="bool or integer"):
-            mc_estimate(lambda z1, z2: (z1 <= 0.0).astype(dtype),
-                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
+            mc_estimate(lambda z1, z2: ((z1 <= 0.0).astype(dtype),),
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
         with pytest.raises(DomainError, match="bool or integer"):
             mc_estimate(lambda z1, z2: (z1 <= 0.0, (z2 <= 0.0).astype(dtype)),
-                        AlternativeModel(0.0, 0.0), McConfig(reps=10_000))
-
-
-def whole_sample_mc_estimate(event, model, cfg):
-    """Reference engine: one draw and one event call on the whole sample,
-    then the mean S1/n and the SE from its exact sums."""
-    u = uniforms(cfg.seed, 0, 2 * cfg.reps)
-    zz1 = std_normal_quantile(u[:cfg.reps])
-    zz2 = std_normal_quantile(u[cfg.reps:])
-    z1 = model.theta1 + zz1
-    z2 = model.theta2 + model.rho * zz1 + math.sqrt(1.0 - model.rho**2) * zz2
-    out = event(z1, z2)
-    pairs = []
-    for arr in out if isinstance(out, tuple) else (out,):
-        s1, s2 = exact_sums(arr)
-        pairs.append((float(Fraction(s1, cfg.reps)),
-                      math.sqrt(exact_se_squared(s1, s2, cfg.reps))))
-    return pairs if isinstance(out, tuple) else pairs[0]
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
 
 @pytest.fixture()
@@ -321,16 +310,16 @@ class TestBlockedEngine:
         def alt(z1, z2):
             d1, d2 = rule.decide_z(z1, z2)
             return d1 | d2, np.add(d1, d2, dtype=np.int8)
-        return {"single": lambda z1, z2: rule.decide_z(z1, z2)[0],
+        return {"single": lambda z1, z2: (rule.decide_z(z1, z2)[0],),
                 "count": lambda z1, z2: (np.floor(np.minimum(z1, z2))
-                                         .astype(np.int64)),
+                                         .astype(np.int64),),
                 "tuple": alt}
 
     @staticmethod
     def recorder(pairs):
         def ev(z1, z2):
             pairs.append((z1, z2))
-            return z1 <= 0.0
+            return (z1 <= 0.0,)
         return ev
 
     @staticmethod
@@ -347,13 +336,13 @@ class TestBlockedEngine:
         # omt rules score independent models only
         rule = omt_rule if rho == 0.0 else hommel(ALPHA)
         for name, ev in self.events(rule).items():
-            assert (mc_estimate(ev, model, self.CFG)
-                    == whole_sample_mc_estimate(ev, model, self.CFG)), name
+            assert (mc_estimate(ev, (model,), self.CFG)
+                    == whole_sample_mc_estimate(ev, (model,), self.CFG)), name
         # the pairs the event sees, bit for bit; the blocks may run in any
         # order, so they are compared as multisets
         seen, whole = [], []
-        mc_estimate(self.recorder(seen), model, self.CFG)
-        whole_sample_mc_estimate(self.recorder(whole), model, self.CFG)
+        mc_estimate(self.recorder(seen), (model,), self.CFG)
+        whole_sample_mc_estimate(self.recorder(whole), (model,), self.CFG)
         (z1, z2), = whole
         step = omt2.numerics._BLOCK
         want = [(z1[lo:lo + step], z2[lo:lo + step])
@@ -362,14 +351,42 @@ class TestBlockedEngine:
                 == sorted(len(b1) for b1, _ in want))
         assert self.as_bytes(seen) == self.as_bytes(want)
 
+    @pytest.mark.parametrize("block", [3000, None])
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_models_share_one_draw(self, block, rho, fresh_draws, monkeypatch):
+        # an alternative and its two semi-nulls in one call: each pair is
+        # its model's full formula, bit for bit, and a block forms each
+        # distinct shifted vector once
+        if block is not None:
+            monkeypatch.setattr(omt2.numerics, "_BLOCK", block)
+        cfg = McConfig(reps=20_001, seed=99)
+        models = (AlternativeModel(-2.0, -2.5, rho), AlternativeModel(-2.0, 0.0, rho),
+                  AlternativeModel(0.0, -2.5, rho))
+        zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
+        ev = lambda *zs: tuple(z <= -1.0 for z in zs)
+        got = mc_estimate(ev, models, cfg)
+        assert got == whole_sample_mc_estimate(ev, models, cfg)
+        # one pair per model, each as a call with that model alone sees it
+        assert got == [pair for m in models for pair in mc_estimate(ev, (m,), cfg)]
+        seen = []
+        mc_estimate(lambda *zs: seen.append(zs) or ev(*zs), models, cfg)
+        for zs in seen:
+            assert zs[2] is zs[0] and zs[5] is zs[1]
+            assert zs[4].base is zz1 and (zs[3].base is zz2) == (rho == 0.0)
+        seen.sort(key=lambda zs: zs[4].ctypes.data)    # block order
+        zz1, zz2 = whole_draws(cfg)
+        whole = [z for m in models for z in shifted(m, zz1, zz2)]
+        for k, z in enumerate(whole):
+            assert np.concatenate([zs[k] for zs in seen]).tobytes() == z.tobytes()
+
     def test_event_sees_blocks(self, fresh_draws, monkeypatch):
         monkeypatch.setattr(omt2.numerics, "_BLOCK", 3000)
         sizes = []
 
         def ev(z1, z2):
             sizes.append(len(z1))
-            return z1 <= 0.0
-        mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=10_001))
+            return (z1 <= 0.0,)
+        mc_estimate(ev, (AlternativeModel(0.0, 0.0),), McConfig(reps=10_001))
         assert Counter(sizes) == Counter({3000: 3, 1001: 1})
 
     @pytest.mark.parametrize("block, reps", [(None, 70_001), (3000, 10_001)])
@@ -423,10 +440,10 @@ class TestThreadedEngine:
         def ev(z1, z2):
             hit = z1 <= 0.0
             if len(z1) == 3000:
-                return hit
-            return hit.astype(float) if bad == "float" else (hit, hit)
+                return (hit,)
+            return (hit.astype(float),) if bad == "float" else (hit, hit)
         with pytest.raises(DomainError):
-            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=10_001))
+            mc_estimate(ev, (AlternativeModel(0.0, 0.0),), McConfig(reps=10_001))
 
     def test_first_failing_block_reaches_caller(self, fresh_draws, monkeypatch):
         # every block fails, slowly, so that the four workers all fail:
@@ -442,7 +459,7 @@ class TestThreadedEngine:
             raise ValueError(repr(z1[0]))
         first = repr(std_normal_quantile(uniforms(5, 0, 1))[0])
         with pytest.raises(ValueError) as err:
-            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=30_000, seed=5))
+            mc_estimate(ev, (AlternativeModel(0.0, 0.0),), McConfig(reps=30_000, seed=5))
         assert str(err.value) == first
         assert len(calls) <= 4
 
@@ -454,9 +471,9 @@ class TestThreadedEngine:
 
         def ev(z1, z2):
             seen.append(np.geterr()["divide"])
-            return z1 <= 0.0
+            return (z1 <= 0.0,)
         with np.errstate(divide="raise"):
-            mc_estimate(ev, AlternativeModel(0.0, 0.0), McConfig(reps=30_000))
+            mc_estimate(ev, (AlternativeModel(0.0, 0.0),), McConfig(reps=30_000))
         assert seen == ["raise"] * 10
 
     def test_concurrent_callers_get_sequential_results(self, cases, fresh_draws):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 from scipy.stats import norm
 
+import omt2.numerics
 import omt2.power_design
-from conftest import measure_spec
+from conftest import (exact_se_squared, exact_sums, measure_spec, shifted,
+                      whole_draws, whole_sample_mc_estimate)
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DegenerateVariance,
                   DomainError, McConfig, ObjectiveSpec, Procedure,
                   TwoArmDesign, Unachievable, allocation_search, bonferroni,
@@ -213,8 +216,8 @@ class TestEvaluatePower:
                             counted("mc_estimate", omt2.power_design.mc_estimate))
         mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5),
                  McConfig(reps=20_000, seed=5))
-        # one pass on the alternative, one per semi-null
-        assert calls == {"decide_z": 3, "mc_estimate": 3}
+        # one pass, one decide per model
+        assert calls == {"decide_z": 3, "mc_estimate": 1}
 
     def test_mc_power_decides_each_replication_once(self, monkeypatch, mc_cfg):
         # blocked: many decide_z calls, but one decision per replication
@@ -248,6 +251,101 @@ class TestEvaluatePower:
         cfg = McConfig(reps=100_000, seed=8)
         first = mc_power(rule, spec.model, cfg)
         assert mc_power(rule, spec.model, cfg) == first
+
+
+def semi_nulls(model):
+    return (AlternativeModel(model.theta1, 0.0, model.rho),
+            AlternativeModel(0.0, model.theta2, model.rho))
+
+
+class TestMcPowerOnePass:
+    """mc_power decides the alternative and both semi-nulls in one pass
+    over one draw; its means are those of three separate passes and its
+    SEs are exact."""
+
+    CFG = McConfig(reps=70_001, seed=606)    # three blocks, the last short
+
+    @pytest.fixture(scope="class")
+    def cases(self, quad_cfg):
+        combo = build_omt(measure_spec("pi_combo", AlternativeModel(-2.5, -3.0), ALPHA),
+                          quad_cfg)
+        return {"hommel": (hommel(ALPHA), AlternativeModel(-2.0, -2.5)),
+                "hommel-rho0.5": (hommel(ALPHA), AlternativeModel(-2.0, -2.5, 0.5)),
+                "bonferroni-rho0.5": (bonferroni(ALPHA),
+                                      AlternativeModel(-1.0, -3.0, 0.5)),
+                "omt_combo": (combo, AlternativeModel(-2.5, -3.0))}
+
+    @staticmethod
+    def three_passes(rule, model, cfg):
+        """The four measures from one pass per model, each SE bounded by
+        the sum of its passes' SEs."""
+        def alt(z1, z2):
+            d1, d2 = rule.decide_z(z1, z2)
+            return d1 | d2, np.add(d1, d2, dtype=np.int8)
+        semi1, semi2 = semi_nulls(model)
+        (pany, se_any), (count, se_count) = whole_sample_mc_estimate(alt, (model,), cfg)
+        (m1, se1), = whole_sample_mc_estimate(
+            lambda z1, z2: (rule.decide_z(z1, z2)[0],), (semi1,), cfg)
+        (m2, se2), = whole_sample_mc_estimate(
+            lambda z1, z2: (rule.decide_z(z1, z2)[1],), (semi2,), cfg)
+        pi_1, se_1 = 0.5 * (m1 + m2), 0.5 * (se1 + se2)
+        return {"pi_any": (pany, se_any), "pi_avg": (0.5 * count, 0.5 * se_count),
+                "pi_1": (pi_1, se_1),
+                "pi_combo": (pany / 3.0 + 2.0 * pi_1 / 3.0,
+                             se_any / 3.0 + 2.0 * se_1 / 3.0)}
+
+    @pytest.mark.parametrize("case", ["hommel", "hommel-rho0.5",
+                                      "bonferroni-rho0.5", "omt_combo"])
+    def test_means_match_three_passes(self, case, cases):
+        rule, model = cases[case]
+        got, ref = mc_power(rule, model, self.CFG), self.three_passes(rule, model, self.CFG)
+        assert list(got) == list(ref)
+        for m in ref:
+            assert got[m][0] == ref[m][0], m
+        for m in ("pi_any", "pi_avg"):
+            assert got[m][1] == ref[m][1], m
+        # the semi-nulls' decisions are not perfectly correlated, so the
+        # exact SE is below the summed one
+        for m in ("pi_1", "pi_combo"):
+            assert got[m][1] < ref[m][1], m
+
+    @pytest.mark.parametrize("case", ["hommel", "hommel-rho0.5", "omt_combo"])
+    def test_se_is_exact(self, case, cases):
+        # the SE of the per-replication (s1 + s2)/2 and (any + s1 + s2)/3
+        # on the whole sample, covariance between the models included
+        rule, model = cases[case]
+        got = mc_power(rule, model, self.CFG)
+        zz1, zz2 = whole_draws(self.CFG)
+        semi1, semi2 = semi_nulls(model)
+        hit = np.logical_or(*rule.decide_z(*shifted(model, zz1, zz2)))
+        one = (rule.decide_z(*shifted(semi1, zz1, zz2))[0].astype(np.int64)
+               + rule.decide_z(*shifted(semi2, zz1, zz2))[1])
+        for m, vals, k in (("pi_1", one, 2), ("pi_combo", hit + one, 3)):
+            se2 = exact_se_squared(*exact_sums(vals), self.CFG.reps) / k**2
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = (Decimal(se2.numerator) / Decimal(se2.denominator)).sqrt()
+                assert abs(Decimal(got[m][1]) - exact) <= Decimal(math.ulp(got[m][1])), m
+
+    @pytest.mark.parametrize("case", ["hommel", "hommel-rho0.5"])
+    def test_each_model_sees_its_formula(self, case, cases, monkeypatch):
+        # one worker: the blocks come in order, each deciding the
+        # alternative, then semi-null 1, then semi-null 2
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 1)
+        seen = []
+        decide_z = Procedure.decide_z
+
+        def recorded(self, z1, z2):
+            seen.append((z1, z2))
+            return decide_z(self, z1, z2)
+        monkeypatch.setattr(Procedure, "decide_z", recorded)
+        rule, model = cases[case]
+        mc_power(rule, model, self.CFG)
+        assert len(seen) == 3 * 3
+        zz1, zz2 = whole_draws(self.CFG)
+        for k, m in enumerate((model, *semi_nulls(model))):
+            for z, want in zip(zip(*seen[k::3]), shifted(m, zz1, zz2)):
+                assert np.array_equal(np.concatenate(z), want), (m, k)
 
 
 class TestQuadratureMcAgreement:

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+import omt2.procedures
 from conftest import lr_density, measure_spec
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
@@ -99,8 +100,8 @@ class TestBittman:
 
     def test_null_level_mc(self, quad_cfg, mc_cfg):
         b = build_bittman(ALPHA, quad_cfg)
-        mean, se = mc_estimate(lambda z1, z2: np.logical_or(*b.decide_z(z1, z2)),
-                               AlternativeModel(0.0, 0.0), mc_cfg)
+        mean, se = mc_estimate(lambda z1, z2: (np.logical_or(*b.decide_z(z1, z2)),),
+                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_symmetric_level_half(self, quad_cfg):
@@ -564,6 +565,14 @@ class TestRegionExport:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             export_region(hommel(ALPHA), 8)
+
+    @pytest.mark.parametrize("grid_size", [4097, 100_000_000])
+    def test_grid_size_ceiling(self, grid_size):
+        # checked before the grid is built, so nothing large is allocated
+        assert omt2.procedures.MAX_GRID == 4096
+        bound = rf"^grid_size must be an integer in \[16, 4096\], got {grid_size}$"
+        with pytest.raises(DomainError, match=bound):
+            export_region(hommel(ALPHA), grid_size)
 
     @pytest.mark.parametrize("grid_size", [20.5, 32.0, "32", True])
     def test_grid_size_must_be_an_integer(self, grid_size):
