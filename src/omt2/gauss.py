@@ -82,7 +82,7 @@ def std_normal_quantile(u):
     Raises DomainError outside it, and for NaN.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):    # NaN fails both
         raise DomainError(f"quantile argument must be in (0, 1), got {u!r}")
     return float(ndtri(arr)) if arr.ndim == 0 else ndtri(arr)
 

@@ -38,12 +38,12 @@ for the call: no thread starts at import or outlives a call.
 calls the event once per block with one (z1, z2) pair per model,
 possibly at the same time as other blocks and in any order, so it must
 be a pure elementwise function: value k may depend only on replication
-k's pairs.  It returns a tuple of arrays of bool indicators or small
-integer counts, whose exact per-block sums of x and x^2 replace
-full-length arrays, and `mc_estimate` returns a list of one (mean, se)
-per array.  The draws of a block are a pure function of (seed, reps,
-block), and integer addition is exact, so no estimate can depend on the
-block size, the worker count or the order in which the blocks finish.
+k's pairs.  It returns a tuple of bool arrays, and `mc_estimate` the
+exact number of True values in each, so no full-length array is kept
+(`mc_power` gets each measure's exact sums of x and x^2 from such counts
+by inclusion-exclusion).  The draws of a block are a pure function of
+(seed, reps, block), and integer addition is exact, so no count can
+depend on the block size, the worker count or the finishing order.
 """
 
 from __future__ import annotations
@@ -211,24 +211,28 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * _MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _MIX2
-    return x ^ (x >> np.uint64(31))
-
-
 def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start..start+count-1 of the splitmix64 stream for ``seed``."""
-    k = np.arange(start, start + count, dtype=np.uint64)
-    return _mix64(np.uint64(seed) + (k + np.uint64(1)) * _GAMMA)
+    """Outputs start..start+count-1 of the splitmix64 stream for ``seed``,
+    formed in place with one scratch array."""
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)   # k + 1
+    x *= _GAMMA
+    x += np.uint64(seed)
+    t = np.empty_like(x)
+    # mix64, the splitmix64 finalizer
+    x ^= np.right_shift(x, np.uint64(30), out=t)
+    x *= _MIX1
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= _MIX2
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform(0,1) variates from the top 53 bits of the stream."""
-    bits = splitmix64(seed, start, count) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0**-53
+    bits = splitmix64(seed, start, count)
+    bits >>= np.uint64(11)
+    u = np.add(bits, 0.5, out=bits.view(np.float64))
+    return np.multiply(u, 2.0**-53, out=u)
 
 
 def _worker_count() -> int:
@@ -304,19 +308,6 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _sums(vals: np.ndarray) -> tuple[int, int]:
-    """Exact (sum x, sum x^2) of one block of bool or integer event values."""
-    if vals.dtype.kind == "b":
-        return (k := int(np.count_nonzero(vals))), k
-    if vals.dtype.kind not in "iu":
-        raise DomainError(f"event values must be bool or integer, got {vals.dtype}")
-    x = vals.astype(np.int64)
-    # 16-bit values cannot overflow the int64 sums; wider ones are checked
-    if vals.dtype.itemsize > 2 and int(np.abs(x).max(initial=0)) ** 2 * x.size >= 2**63:
-        raise DomainError("integer event values too large for exact int64 sums")
-    return int(x.sum()), int(x @ x)
-
-
 def _second(t2: float, rho: float, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """theta2 + rho*Z1 + sqrt(1-rho^2)*Z2 on a block, less the terms that add nothing."""
     if rho == 0.0:
@@ -326,42 +317,34 @@ def _second(t2: float, rho: float, b1: np.ndarray, b2: np.ndarray) -> np.ndarray
 
 
 def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
-                models: Sequence[AlternativeModel], cfg: McConfig
-                ) -> list[tuple[float, float]]:
-    """Mean and SE of each array of ``event(z1_a, z2_a, z1_b, z2_b, ...)``.
+                models: Sequence[AlternativeModel], cfg: McConfig) -> list[int]:
+    """Exact count of True values in each array of ``event(z1_a, z2_a, ...)``.
 
     Model m shifts the one draw to z1 = theta1 + Z1 and z2 = theta2 +
     rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model: a block
     forms each distinct shifted vector once, and passes the draw itself
     for a zero shift (the draws are never +-0, so 0.0 + b is b).  It is
     called once per block of ``_BLOCK`` replications, on one thread per
-    CPU and in any order, and returns a tuple of bool or small integer
-    arrays (a float dtype raises DomainError).  Each array's exact sums S1
-    of x and S2 of x^2 are added as Python ints in block order: the mean
-    S1/n is correctly rounded, the SE sqrt((n*S2 - S1^2) / (n^2 (n-1)))
-    within an ulp, and neither depends on the block size, the worker
-    count or the finishing order.  Returns one ``(mean, se)`` per array;
-    deterministic for fixed (seed, reps).
+    CPU and in any order, and returns a tuple of bool arrays (any other
+    dtype raises DomainError).  The block counts are added as Python ints,
+    so no count depends on the block size, the worker count or the
+    finishing order; deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
     firsts = {m.theta1 for m in models}
     seconds = {(m.theta2, m.rho) for m in models}
 
-    def block(lo: int) -> list[tuple[int, int]]:
+    def block(lo: int) -> list[int]:
         b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
         z1 = {t1: b1 if t1 == 0.0 else t1 + b1 for t1 in firsts}
         z2 = {key: _second(*key, b1, b2) for key in seconds}
         out = event(*(z for m in models for z in (z1[m.theta1], z2[m.theta2, m.rho])))
-        if any(np.shape(a) != b1.shape for a in out):
-            raise DomainError("event must return a tuple of arrays, "
+        if any(np.shape(a) != b1.shape or a.dtype != np.bool_ for a in out):
+            raise DomainError("event must return a tuple of bool arrays, "
                               "one value per replication")
-        return [_sums(a) for a in out]
+        return [int(np.count_nonzero(a)) for a in out]
 
     blocks = _map_blocks(block, cfg.reps)
-    if len({len(sums) for sums in blocks}) > 1:
+    if len({len(counts) for counts in blocks}) > 1:
         raise DomainError("event must return the same number of arrays from every block")
-    n = cfg.reps
-    # column k holds array k's (S1, S2) from every block, in block order
-    sums = [[sum(s) for s in zip(*column)] for column in zip(*blocks)]
-    return [(s1 / n, math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1))))
-            for s1, s2 in sums]
+    return [sum(column) for column in zip(*blocks)]

@@ -108,7 +108,9 @@ def score_z(spec: ObjectiveSpec, z1, z2):
         w_any*g*1{in1|in2} + in1*(w_avg*g/2 + w_one*e1/2)
                            + in2*(w_avg*g/2 + w_one*e2/2),  g = e1*e2,
 
-    is formed in place, in that order; the inputs are never written.
+    is formed in place, in that order, less the terms whose weight is 0
+    (each would add +0, or NaN where its exponential overflows).  An
+    overflow gives +inf without a warning; the inputs are never written.
     """
     _require_independent(spec)
     za = alpha_lines(spec.alpha)[0]
@@ -116,20 +118,32 @@ def score_z(spec: ObjectiveSpec, z1, z2):
                                  np.asarray(z2, dtype=float))
     shape = z1.shape
     z1, z2 = z1.reshape(-1), z2.reshape(-1)
-    e1, e2 = _lr_z(spec.model.theta1, z1), _lr_z(spec.model.theta2, z2)
-    in1 = z1 <= za
-    in2 = z2 <= za
-    g = e1 * e2
-    s = np.multiply(spec.w_any, g)
-    s *= in1 | in2
-    half_avg = np.multiply(spec.w_avg, g, out=g)
-    half_avg /= 2.0
-    for e, ind in ((e1, in1), (e2, in2)):
-        e *= spec.w_one
-        e /= 2.0
-        np.add(half_avg, e, out=e)
-        e *= ind
-        s += e
+    w_any, w_avg, w_one = spec.weights
+    in1, in2 = z1 <= za, z2 <= za
+    with np.errstate(over="ignore"):
+        e1, e2 = _lr_z(spec.model.theta1, z1), _lr_z(spec.model.theta2, z2)
+        # with no w_one term, g takes e1's buffer and the terms e2's and g's
+        g = np.multiply(e1, e2, out=None if w_one else e1) if w_any or w_avg else None
+        terms = []
+        if w_any:
+            terms.append(np.multiply(w_any, g, out=None if w_avg else g))
+            terms[0] *= in1 | in2
+        if w_avg:
+            g *= w_avg
+            g *= 0.5
+        if w_one:
+            for e, ind in ((e1, in1), (e2, in2)):
+                e *= w_one
+                e *= 0.5
+                if w_avg:
+                    np.add(g, e, out=e)
+                e *= ind
+                terms.append(e)
+        elif w_avg:
+            terms += [np.multiply(g, in1, out=e2), np.multiply(g, in2, out=g)]
+        s = terms[0]
+        for term in terms[1:]:
+            s += term
     return s.reshape(shape) if shape else s[0]
 
 

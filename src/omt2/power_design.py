@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DegenerateVariance, DomainError, Unachievable
 from .gauss import (REAL_TYPES, AlternativeModel, alpha_lines, check_alpha,
                     std_normal_cdf, std_normal_quantile)
@@ -181,28 +179,35 @@ def fwer_global(proc: Procedure, rho: float = 0.0,
     return region_mass(proc, "any", AlternativeModel(0.0, 0.0, rho), cfg)
 
 
+def _se(s1: int, s2: int, n: int) -> float:
+    """SE of the mean of n values whose sums of x and x^2 are s1 and s2."""
+    return math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1)))
+
+
 def mc_power(proc: Procedure, model: AlternativeModel,
              cfg: McConfig) -> dict[str, tuple[float, float]]:
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
     One `mc_estimate` pass decides the alternative and both semi-nulls on
-    the same draws (s_k is semi-null k's decision).  Each SE is that of
-    the measure's per-replication value, any, (d1 + d2)/2, (s1 + s2)/2 or
-    (any + s1 + s2)/3: exact, the covariance between the models included.
+    the same draws (s_k is semi-null k's decision).  Each measure's value,
+    any, (d1 + d2)/2, (s1 + s2)/2 or (any + s1 + s2)/3, sums k indicators
+    over k, so its S1 adds their counts and S2 = S1 + 2 * their overlaps'
+    counts (x^2 = x for a bool): each SE is exact, covariance included.
     """
     def event(z1, z2, x1, x2, y1, y2):
         d1, d2 = proc.decide_z(z1, z2)
         s1, s2 = proc.decide_z(x1, x2)[0], proc.decide_z(y1, y2)[1]
-        hit, one = d1 | d2, np.add(s1, s2, dtype=np.int8)
-        return hit, np.add(d1, d2, dtype=np.int8), s1, s2, one, hit + one
+        return (hit := d1 | d2), d1, d2, s1, s2, s1 & s2, hit & s1, hit & s2
 
     models = (model, _semi_null(model, 1), _semi_null(model, 2))
-    ((pany, se_any), (count, se_count), (m1, _), (m2, _), (_, se_one),
-     (_, se_all)) = mc_estimate(event, models, cfg)
-    means = _measures(pany, 0.5 * count, m1, m2)
-    ses = {"pi_any": se_any, "pi_avg": 0.5 * se_count, "pi_1": 0.5 * se_one,
-           "pi_combo": se_all / 3.0}
-    return {m: (means[m], ses[m]) for m in means}
+    hit, d1, d2, s1, s2, s12, hit_s1, hit_s2 = mc_estimate(event, models, cfg)
+    n = cfg.reps
+    means = _measures(hit / n, 0.5 * ((d1 + d2) / n), s1 / n, s2 / n)
+    # (k, S1, overlaps) of each measure; d1 & d2 holds d1 + d2 - hit times
+    parts = {"pi_any": (1, hit, 0), "pi_avg": (2, d1 + d2, d1 + d2 - hit),
+             "pi_1": (2, s1 + s2, s12),
+             "pi_combo": (3, hit + s1 + s2, hit_s1 + hit_s2 + s12)}
+    return {m: (means[m], _se(s, s + 2 * o, n) / k) for m, (k, s, o) in parts.items()}
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ is smooth and strictly monotone in log(t) on the relevant range.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -424,21 +423,20 @@ class RegionGrid:
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.axis[:-1] + self.axis[1:])
+        # halved before the sum, so that no finite pair overflows
+        return 0.5 * self.axis[:-1] + 0.5 * self.axis[1:]
 
     def class_counts(self) -> dict[str, int]:
         return {name: int(np.sum(self.classes == k))
                 for k, name in enumerate(_CLASS_NAMES)}
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("z1,z2,class\n")
-        c = self.centers
-        for i in range(len(c)):
-            for j in range(len(c)):
-                buf.write(f"{c[i]:.6g},{c[j]:.6g},"
-                          f"{_CLASS_NAMES[self.classes[i, j]]}\n")
-        return buf.getvalue()
+        c = [f"{v:.6g}," for v in self.centers]
+        # tails[k][j] ends column j's lines in class k; row i joins by c[i]
+        tails = np.array([[f"{cj}{name}\n" for cj in c] for name in _CLASS_NAMES],
+                         dtype=object)
+        return "".join(["z1,z2,class\n", *(ci + ci.join(np.choose(row, tails).tolist())
+                                             for ci, row in zip(c, self.classes))])
 
 
 # Largest region grid side; see `export_region`.
@@ -465,7 +463,7 @@ def export_region(proc: Procedure, grid_size: int,
             if 0 < k < grid_size:
                 axis = axis.copy()
                 axis[k] = line
-    c = 0.5 * (axis[:-1] + axis[1:])
+    c = 0.5 * axis[:-1] + 0.5 * axis[1:]
     z1g, z2g = np.meshgrid(c, c, indexing="ij")
     d1, d2 = proc.decide_z(z1g.ravel(), z2g.ravel())
     classes = (d1.astype(np.uint8) + 2 * d2.astype(np.uint8)).reshape(z1g.shape)

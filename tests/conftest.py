@@ -79,14 +79,18 @@ def shifted(model, zz1, zz2) -> tuple[np.ndarray, np.ndarray]:
 
 def whole_sample_mc_estimate(event, models, cfg):
     """Reference engine: one draw and one event call on the whole sample,
-    then each array's mean S1/n and SE from its exact sums."""
+    then the number of True values in each bool array."""
     zz1, zz2 = whole_draws(cfg)
-    pairs = []
+    counts = []
     for arr in event(*(z for m in models for z in shifted(m, zz1, zz2))):
-        s1, s2 = exact_sums(arr)
-        pairs.append((float(Fraction(s1, cfg.reps)),
-                      math.sqrt(exact_se_squared(s1, s2, cfg.reps))))
-    return pairs
+        assert arr.dtype == bool
+        counts.append(sum(arr.tolist()))
+    return counts
+
+
+def bool_mean_se(count, n):
+    """Mean and SE of n bool values of which count are True."""
+    return count / n, math.sqrt(exact_se_squared(count, count, n))
 
 
 @pytest.fixture(scope="session")

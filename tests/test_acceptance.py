@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import measure_spec, record_criterion
+from conftest import bool_mean_se, measure_spec, record_criterion
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, McConfig,
                   QuadratureConfig, bonferroni, build_bittman, build_omt,
                   closed_stouffer, evaluate_power, fixed_sequence, fwer_global,
@@ -83,8 +83,9 @@ def exact_level_state(qcfg, mcc):
     for proc in procs:
         quad = fwer_global(proc, 0.0, qcfg)
         max_quad_dev = max(max_quad_dev, abs(quad - ALPHA))
-        mean, se = mc_estimate(
-            lambda z1, z2: (np.logical_or(*proc.decide_z(z1, z2)),), (null,), mcc)[0]
+        count, = mc_estimate(
+            lambda z1, z2: (np.logical_or(*proc.decide_z(z1, z2)),), (null,), mcc)
+        mean, se = bool_mean_se(count, mcc.reps)
         max_mc_z = max(max_mc_z, abs(mean - ALPHA) / se)
     elapsed = time.perf_counter() - t0
     ok = max_quad_dev <= 1e-6 and max_mc_z <= 3.0 and elapsed < 5.0

@@ -545,6 +545,23 @@ def python_m_omt2():
     return [sys.executable, "-m", "omt2"], env
 
 
+class TestSaturatedScore:
+    @pytest.mark.parametrize("objective", ["pi1", "combo"])
+    def test_mc_rejects_where_the_score_overflows(self, objective):
+        # at theta = -30, e1 * e2 overflows on the alternative's draws; the
+        # score saturates at +inf, so Monte Carlo rejects there as
+        # quadrature does, and nothing is written to stderr
+        import subprocess
+        exe, env = python_m_omt2()
+        argv = exe + ["power", "--proc", "omt", "--objective", objective,
+                      "--theta1=-30", "--theta2=-30", "--mc", "--reps", "100000"]
+        done = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+        assert done.returncode == 0 and done.stderr == b""
+        mc = done.stdout.decode().split("monte carlo")[1]
+        for m in ("pi_avg", "pi_any", "pi_1", "pi_combo"):
+            assert f"{m}=1.0000(" in mc, m
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_reader_closing_early_exits_quietly(self, unbuffered):

@@ -1,5 +1,7 @@
 """Quadrature, bisection, and the counter-based Monte Carlo engine."""
 
+import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -12,14 +14,15 @@ import numpy as np
 import pytest
 
 import omt2.numerics
-from conftest import (exact_se_squared, exact_sums, shifted, whole_draws,
-                      whole_sample_mc_estimate)
+from conftest import (bool_mean_se, exact_se_squared, exact_sums, shifted,
+                      whole_draws, whole_sample_mc_estimate)
 from omt2 import (AlternativeModel, DomainError, McConfig, NoBracket,
                   ObjectiveSpec, QuadratureConfig, bisect, build_omt, hommel,
                   mc_estimate, mc_power, normal_pairs, std_normal_cdf,
                   std_normal_quantile)
 from omt2.numerics import (MaxIterations, leggauss, panel_nodes, splitmix64,
                            uniforms)
+from omt2.power_design import _se
 
 ALPHA = 0.025
 
@@ -106,19 +109,34 @@ class TestBisect:
             bisect(lambda t: t, 1.0, 0.0, tol=1e-9)
 
 
+def splitmix64_reference(seed, k):
+    """Output k of the stream, by plain python integer arithmetic."""
+    mask = (1 << 64) - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
 class TestSplitmix64:
     def test_matches_scalar_reference(self):
-        # same mixing computed with plain python integer arithmetic
-        def ref(seed, k):
-            mask = (1 << 64) - 1
-            z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-            return z ^ (z >> 31)
-
         got = splitmix64(12345, 0, 6)
-        expected = [ref(12345, k) for k in range(6)]
+        expected = [splitmix64_reference(12345, k) for k in range(6)]
         assert [int(x) for x in got] == expected
+
+    @pytest.mark.parametrize("seed", [0, 20260810, 2**64 - 1])
+    def test_matches_reference_across_a_block_boundary(self, seed):
+        start, count = (1 << 15) - 1, (1 << 15) + 3
+        got = splitmix64(seed, start, count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [splitmix64_reference(seed, k)
+                                for k in range(start, start + count)]
+
+    def test_normal_pairs_bits_pinned(self, fresh_draws):
+        # three full blocks and a short one, pinned bit for bit
+        zz1, zz2 = normal_pairs(20260810, 3 * (1 << 15) + 17)
+        assert hashlib.sha256(zz1.tobytes() + zz2.tobytes()).hexdigest() == (
+            "8d7ee9b9a0820a499d3c3a02b240885cb50f36981afb3567306b6ce1fb4964a6")
 
     def test_stream_is_counter_addressable(self):
         whole = splitmix64(7, 0, 100)
@@ -133,27 +151,31 @@ class TestSplitmix64:
 
 class TestMcEstimate:
     def test_constant_event(self, mc_cfg):
-        mean, se = mc_estimate(lambda z1, z2: (np.ones_like(z1, dtype=bool),),
-                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
-        assert mean == 1.0 and se == 0.0
+        counts = mc_estimate(lambda z1, z2: (np.ones_like(z1, dtype=bool),
+                                             np.zeros_like(z1, dtype=bool)),
+                             (AlternativeModel(0.0, 0.0),), mc_cfg)
+        assert counts == [mc_cfg.reps, 0]
 
     def test_marginal_tail_probability(self, mc_cfg):
         za = std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: (z1 <= za,),
-                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
+        count, = mc_estimate(lambda z1, z2: (z1 <= za,),
+                             (AlternativeModel(0.0, 0.0),), mc_cfg)
+        mean, se = bool_mean_se(count, mc_cfg.reps)
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_sum_statistic_tail(self, mc_cfg):
         thresh = math.sqrt(2.0) * std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: ((z1 + z2) <= thresh,),
-                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
+        count, = mc_estimate(lambda z1, z2: ((z1 + z2) <= thresh,),
+                             (AlternativeModel(0.0, 0.0),), mc_cfg)
+        mean, se = bool_mean_se(count, mc_cfg.reps)
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_correlated_shift_model(self, mc_cfg):
         # z2 ~ N(theta2, 1) marginally for any rho
         model = AlternativeModel(-1.0, -2.0, 0.6)
         za = std_normal_quantile(ALPHA)
-        mean, se = mc_estimate(lambda z1, z2: (z2 <= za,), (model,), mc_cfg)[0]
+        count, = mc_estimate(lambda z1, z2: (z2 <= za,), (model,), mc_cfg)
+        mean, se = bool_mean_se(count, mc_cfg.reps)
         expected = float(std_normal_cdf(za + 2.0))
         assert abs(mean - expected) <= 3 * se
 
@@ -161,21 +183,21 @@ class TestMcEstimate:
         cfg = McConfig(reps=50_000, seed=4242)
         model = AlternativeModel(-1.0, -1.0)
         ev = lambda z1, z2: ((z1 <= -1.0) & (z2 <= -0.5),)
-        first = mc_estimate(ev, (model,), cfg)[0]
-        second = mc_estimate(ev, (model,), cfg)[0]
+        first = mc_estimate(ev, (model,), cfg)
+        second = mc_estimate(ev, (model,), cfg)
         assert first == second
-        other = mc_estimate(ev, (model,), McConfig(reps=50_000, seed=4243))[0]
+        other = mc_estimate(ev, (model,), McConfig(reps=50_000, seed=4243))
         assert other != first
 
     def test_tuple_event_matches_one_call_per_array(self):
-        # one draw and one evaluation, the same pairs bit for bit
+        # one draw and one evaluation, the same counts
         cfg = McConfig(reps=50_000, seed=77)
         model = AlternativeModel(-2.0, -2.5, 0.3)
         rule = hommel(ALPHA)
         both = mc_estimate(rule.decide_z, (model,), cfg)
         assert both == [mc_estimate(lambda z1, z2: (rule.decide_z(z1, z2)[k],),
                                     (model,), cfg)[0] for k in (0, 1)]
-        assert all(type(v) is float for pair in both for v in pair)
+        assert all(type(count) is int for count in both)
 
     def test_event_shape_checked_per_array(self):
         with pytest.raises(DomainError):
@@ -216,72 +238,83 @@ class TestMcEstimate:
 
 
 class TestCountingEngine:
-    """Exact per-block sums: the mean is S1/n correctly rounded and the
-    SE is within an ulp or two of its exact value."""
+    """Exact counts.  A value that is a signed sum of indicators gets its
+    exact sums S1 of x and S2 of x^2 from the counts of the indicators and
+    of each pair's overlap (x^2 = x for a bool): its mean S1/n is
+    correctly rounded and its SE within an ulp or two of the exact one."""
 
     CFG = McConfig(reps=100_003, seed=2718)
     MODEL = AlternativeModel(-2.0, -2.5, 0.3)
 
-    @staticmethod
-    def outputs(event, model, cfg):
-        zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
-        z2 = (model.theta2 + model.rho * zz1
-              + math.sqrt(1.0 - model.rho**2) * zz2)
-        return event(model.theta1 + zz1, z2)[0]
-
-    EVENTS = {
-        "bool": lambda z1, z2: (hommel(ALPHA).decide_z(z1, z2)[0],),
-        "int8": lambda z1, z2: (np.add(*hommel(ALPHA).decide_z(z1, z2),
-                                       dtype=np.int8),),
-        "int64": lambda z1, z2: ((z1 <= -2.0).astype(np.int64) - (z2 <= -3.0),),
+    # (coefficients a_i, indicators x_i) of each case's value sum a_i * x_i:
+    # one bool, the count d1 + d2, and a signed difference
+    CASES = {
+        "bool": ((1,), lambda z1, z2: (hommel(ALPHA).decide_z(z1, z2)[0],)),
+        "int8": ((1, 1), lambda z1, z2: hommel(ALPHA).decide_z(z1, z2)),
+        "int64": ((1, -1), lambda z1, z2: (z1 <= -2.0, z2 <= -3.0)),
     }
 
-    @pytest.mark.parametrize("name", sorted(EVENTS))
+    @staticmethod
+    def with_overlaps(indicators):
+        def ev(z1, z2):
+            xs = indicators(z1, z2)
+            return (*xs, *(a & b for a, b in itertools.combinations(xs, 2)))
+        return ev
+
+    @staticmethod
+    def sums(coefs, counts):
+        """(S1, S2) of sum a_i * x_i by inclusion-exclusion."""
+        alone, pairs = counts[:len(coefs)], counts[len(coefs):]
+        s1 = sum(a * c for a, c in zip(coefs, alone))
+        s2 = (sum(a * a * c for a, c in zip(coefs, alone))
+              + 2 * sum(a * b * c for (a, b), c
+                        in zip(itertools.combinations(coefs, 2), pairs)))
+        return s1, s2
+
+    def values(self, name):
+        """The value of every replication, from the whole-sample draws."""
+        coefs, indicators = self.CASES[name]
+        z1, z2 = shifted(self.MODEL, *whole_draws(self.CFG))
+        return sum(a * x.astype(np.int64) for a, x in zip(coefs, indicators(z1, z2)))
+
+    def estimate(self, name):
+        coefs, indicators = self.CASES[name]
+        counts = mc_estimate(self.with_overlaps(indicators), (self.MODEL,), self.CFG)
+        s1, s2 = self.sums(coefs, counts)
+        return s1, s2, _se(s1, s2, self.CFG.reps)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_exact_oracle(self, name):
-        ev, n = self.EVENTS[name], self.CFG.reps
-        mean, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
-        s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
-        assert s1 > 0 and mean == s1 / n == float(Fraction(s1, n))
+        n = self.CFG.reps
+        s1, s2, se = self.estimate(name)
+        assert (s1, s2) == exact_sums(self.values(name))
+        assert s1 != 0 and s1 / n == float(Fraction(s1, n))
         se2 = exact_se_squared(s1, s2, n)
         with localcontext() as ctx:
             ctx.prec = 60
             exact = (Decimal(se2.numerator) / Decimal(se2.denominator)).sqrt()
             assert abs(Decimal(se) - exact) <= 2 * Decimal(math.ulp(se))
 
-    @pytest.mark.parametrize("name", sorted(EVENTS))
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_se_matches_whole_sample_std(self, name):
-        ev, n = self.EVENTS[name], self.CFG.reps
-        _, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
-        vals = self.outputs(ev, self.MODEL, self.CFG).astype(float)
-        ref = vals.std(ddof=1) / math.sqrt(n)
+        _, _, se = self.estimate(name)
+        vals = self.values(name).astype(float)
+        ref = vals.std(ddof=1) / math.sqrt(self.CFG.reps)
         assert abs(se - ref) <= 1e-15 * ref
 
-    # 16-bit values are never checked; 11e6^2 times a block of 2^16 or
-    # fewer values is below 2^63
-    @pytest.mark.parametrize("dtype, value", [
-        (np.int16, 32767), (np.int16, -32768), (np.uint16, 65535),
-        (np.int64, 11_000_000)])
-    def test_wide_integer_values_stay_exact(self, dtype, value):
-        ev = lambda z1, z2: (np.where(z1 <= 0.0, value, 0).astype(dtype),)
-        mean, se = mc_estimate(ev, (self.MODEL,), self.CFG)[0]
-        s1, s2 = exact_sums(self.outputs(ev, self.MODEL, self.CFG))
-        assert mean == float(Fraction(s1, self.CFG.reps))
-        assert se == pytest.approx(math.sqrt(exact_se_squared(s1, s2, self.CFG.reps)),
-                                   rel=1e-15)
-
-    @pytest.mark.parametrize("value", [2**32, -(2**32), 2**63 - 1])
-    def test_integer_values_too_large_for_exact_sums(self, value):
-        with pytest.raises(DomainError, match="too large"):
-            mc_estimate(lambda z1, z2: (np.where(z1 <= 0.0, value, 0)
-                                        .astype(np.int64),),
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+    def test_integer_event_rejected(self, dtype):
+        # counts only: an integer array, of any width, is not an event
+        with pytest.raises(DomainError, match="bool arrays"):
+            mc_estimate(lambda z1, z2: ((z1 <= 0.0).astype(dtype),),
                         (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
     def test_float_event_rejected(self, dtype):
-        with pytest.raises(DomainError, match="bool or integer"):
+        with pytest.raises(DomainError, match="bool arrays"):
             mc_estimate(lambda z1, z2: ((z1 <= 0.0).astype(dtype),),
                         (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
-        with pytest.raises(DomainError, match="bool or integer"):
+        with pytest.raises(DomainError, match="bool arrays"):
             mc_estimate(lambda z1, z2: (z1 <= 0.0, (z2 <= 0.0).astype(dtype)),
                         (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
@@ -309,10 +342,10 @@ class TestBlockedEngine:
     def events(rule):
         def alt(z1, z2):
             d1, d2 = rule.decide_z(z1, z2)
-            return d1 | d2, np.add(d1, d2, dtype=np.int8)
+            return d1 | d2, d1, d2, d1 & d2
         return {"single": lambda z1, z2: (rule.decide_z(z1, z2)[0],),
-                "count": lambda z1, z2: (np.floor(np.minimum(z1, z2))
-                                         .astype(np.int64),),
+                "cells": lambda z1, z2: tuple(np.floor(np.minimum(z1, z2)) == k
+                                              for k in range(-4, 3)),
                 "tuple": alt}
 
     @staticmethod
@@ -430,6 +463,17 @@ class TestThreadedEngine:
             normal_pairs.cache_clear()
             results.append(mc_power(rule, model, self.CFG))
         assert results[0] == results[1]
+
+    def test_worker_count_leaves_counts_unchanged(self, cases, fresh_draws,
+                                                  monkeypatch):
+        rule, model = cases[1]
+        models = (model, AlternativeModel(0.0, model.theta2, model.rho))
+        ev = lambda z1, z2, y1, y2: (*rule.decide_z(z1, z2), rule.decide_z(y1, y2)[1])
+        want = whole_sample_mc_estimate(ev, models, self.CFG)
+        for workers in (1, 4):
+            monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: workers)
+            normal_pairs.cache_clear()
+            assert mc_estimate(ev, models, self.CFG) == want, workers
 
     @pytest.mark.parametrize("bad", ["float", "arity"])
     def test_failure_in_a_later_block_reaches_caller(self, bad, fresh_draws,

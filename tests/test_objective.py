@@ -162,20 +162,26 @@ def expression_score_z(spec, z1, z2):
     in1 = z1 <= za
     in2 = z2 <= za
     g = e1 * e2
-    s = spec.w_any * g * (in1 | in2)
-    s = s + in1 * (spec.w_avg * g / 2.0 + spec.w_one * e1 / 2.0)
-    s = s + in2 * (spec.w_avg * g / 2.0 + spec.w_one * e2 / 2.0)
+
+    def term(w, x):
+        # a zero-weight term is exactly 0, also where x overflowed to inf
+        return w * x if w else 0.0
+    s = term(spec.w_any, g) * (in1 | in2)
+    s = s + in1 * (term(spec.w_avg, g) / 2.0 + term(spec.w_one, e1) / 2.0)
+    s = s + in2 * (term(spec.w_avg, g) / 2.0 + term(spec.w_one, e2) / 2.0)
     return s
 
 
 class TestScoreInPlace:
-    WEIGHTS = [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5), (0.0, 0.5, 0.5)]
+    WEIGHTS = [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5), (0.0, 0.5, 0.5),
+               (0.5, 0.5, 0.0)]
     SPEC_MODEL = AlternativeModel(-2.5, -3.5)
 
     def inputs(self, rng):
         za = alpha_lines(ALPHA)[0]
         # both sides of the alpha line, the line itself, and shifts large
-        # enough that exp overflows (inf * 0 terms give nan)
+        # enough that exp overflows (a zero-weight term stays 0 there; a
+        # positive weight's inf times a false indicator is still nan)
         z = np.concatenate([rng.uniform(-9.0, 6.0, 60), [za, -300.0, 300.0]])
         z2d = rng.uniform(-9.0, 6.0, (2, 3, 7)).reshape(6, 7)
         return [(-1.7, -2.4), (za, 2.0),
@@ -193,6 +199,15 @@ class TestScoreInPlace:
                 assert type(got) is type(want)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("measure", ["pi_1", "pi_combo"])
+    def test_overflow_saturates_at_inf(self, measure):
+        # e1 overflows at z1 = -300; no zero weight multiplies that inf, so
+        # the score is +inf, with no warning
+        spec = measure_spec(measure, self.SPEC_MODEL, ALPHA)
+        assert score_z(spec, -300.0, 1.0) == math.inf
+        assert np.array_equal(score_z(spec, [-300.0, 1.0], [1.0, -300.0]),
+                              [math.inf, math.inf])
 
     def test_inputs_are_not_written(self, rng):
         spec = ObjectiveSpec(0.2, 0.3, 0.5, self.SPEC_MODEL, ALPHA)

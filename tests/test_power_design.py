@@ -12,8 +12,8 @@ from scipy.stats import norm
 
 import omt2.numerics
 import omt2.power_design
-from conftest import (exact_se_squared, exact_sums, measure_spec, shifted,
-                      whole_draws, whole_sample_mc_estimate)
+from conftest import (bool_mean_se, exact_se_squared, exact_sums, measure_spec,
+                      shifted, whole_draws, whole_sample_mc_estimate)
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DegenerateVariance,
                   DomainError, McConfig, ObjectiveSpec, Procedure,
                   TwoArmDesign, Unachievable, allocation_search, bonferroni,
@@ -281,15 +281,21 @@ class TestMcPowerOnePass:
         the sum of its passes' SEs."""
         def alt(z1, z2):
             d1, d2 = rule.decide_z(z1, z2)
-            return d1 | d2, np.add(d1, d2, dtype=np.int8)
+            return d1 | d2, d1, d2, d1 & d2
+        n = cfg.reps
         semi1, semi2 = semi_nulls(model)
-        (pany, se_any), (count, se_count) = whole_sample_mc_estimate(alt, (model,), cfg)
-        (m1, se1), = whole_sample_mc_estimate(
-            lambda z1, z2: (rule.decide_z(z1, z2)[0],), (semi1,), cfg)
-        (m2, se2), = whole_sample_mc_estimate(
-            lambda z1, z2: (rule.decide_z(z1, z2)[1],), (semi2,), cfg)
+        hit, n1, n2, n12 = whole_sample_mc_estimate(alt, (model,), cfg)
+        pany, se_any = bool_mean_se(hit, n)
+        # d1 + d2 takes x^2 = x for each, plus twice their overlap
+        count = n1 + n2
+        se_count = math.sqrt(exact_se_squared(count, count + 2 * n12, n))
+        c1, = whole_sample_mc_estimate(lambda z1, z2: (rule.decide_z(z1, z2)[0],),
+                                       (semi1,), cfg)
+        c2, = whole_sample_mc_estimate(lambda z1, z2: (rule.decide_z(z1, z2)[1],),
+                                       (semi2,), cfg)
+        (m1, se1), (m2, se2) = bool_mean_se(c1, n), bool_mean_se(c2, n)
         pi_1, se_1 = 0.5 * (m1 + m2), 0.5 * (se1 + se2)
-        return {"pi_any": (pany, se_any), "pi_avg": (0.5 * count, 0.5 * se_count),
+        return {"pi_any": (pany, se_any), "pi_avg": (0.5 * (count / n), 0.5 * se_count),
                 "pi_1": (pi_1, se_1),
                 "pi_combo": (pany / 3.0 + 2.0 * pi_1 / 3.0,
                              se_any / 3.0 + 2.0 * se_1 / 3.0)}

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 import omt2.procedures
-from conftest import lr_density, measure_spec
+from conftest import bool_mean_se, lr_density, measure_spec
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
                   bonferroni, build_bittman, build_omt, closed_stouffer,
@@ -100,8 +100,9 @@ class TestBittman:
 
     def test_null_level_mc(self, quad_cfg, mc_cfg):
         b = build_bittman(ALPHA, quad_cfg)
-        mean, se = mc_estimate(lambda z1, z2: (np.logical_or(*b.decide_z(z1, z2)),),
-                               (AlternativeModel(0.0, 0.0),), mc_cfg)[0]
+        count, = mc_estimate(lambda z1, z2: (np.logical_or(*b.decide_z(z1, z2)),),
+                             (AlternativeModel(0.0, 0.0),), mc_cfg)
+        mean, se = bool_mean_se(count, mc_cfg.reps)
         assert abs(mean - ALPHA) <= 3 * se
 
     def test_symmetric_level_half(self, quad_cfg):
@@ -561,6 +562,26 @@ class TestRegionExport:
         first = lines[1].split(",")
         assert first[2] in ("none", "only1", "only2", "both")
         float(first[0]), float(first[1])
+
+    @pytest.mark.parametrize("rule", ["hommel", "omt"])
+    def test_csv_matches_per_cell_reference(self, rule, quad_cfg):
+        proc = hommel(ALPHA) if rule == "hommel" else build_omt(
+            ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-3.4, -2.7), ALPHA), quad_cfg)
+        grid = export_region(proc, 64)
+        assert set(np.unique(grid.classes).tolist()) == {0, 1, 2, 3}
+        c, names = grid.centers, ("none", "only1", "only2", "both")
+        want = "z1,z2,class\n" + "".join(
+            f"{c[i]:.6g},{c[j]:.6g},{names[grid.classes[i, j]]}\n"
+            for i in range(len(c)) for j in range(len(c)))
+        assert grid.to_csv() == want
+
+    def test_centers_are_midpoints(self):
+        grid = export_region(closed_stouffer(ALPHA), 512)
+        assert grid.centers.tobytes() == (0.5 * (grid.axis[:-1] + grid.axis[1:])).tobytes()
+        # halved before the sum: the widest finite range has finite centers
+        # (a numpy warning would fail this test)
+        wide = export_region(hommel(ALPHA), 16, -1e308, 0.0)
+        assert np.all(np.isfinite(wide.centers)) and wide.centers[0] < -9e307
 
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
