@@ -309,6 +309,14 @@ class TestCountingEngine:
             mc_estimate(lambda z1, z2: ((z1 <= 0.0).astype(dtype),),
                         (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
 
+    @pytest.mark.parametrize("value", [2**32, -(2**32), 2**63 - 1])
+    def test_integer_values_too_large_for_exact_sums(self, value):
+        # values no bool can hold are refused, never summed or wrapped
+        with pytest.raises(DomainError, match="bool arrays"):
+            mc_estimate(lambda z1, z2: (np.where(z1 <= 0.0, value, 0)
+                                        .astype(np.int64),),
+                        (AlternativeModel(0.0, 0.0),), McConfig(reps=10_000))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
     def test_float_event_rejected(self, dtype):
         with pytest.raises(DomainError, match="bool arrays"):
