@@ -10,10 +10,14 @@ to vertical/horizontal boundaries.  Each decision region has columns of
 the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
 normal CDF and only the outer integral over z1 needs quadrature: fixed
 Gauss-Legendre panels (`panel_nodes`) split at each rule's breakpoints
-(`Procedure.z_breakpoints`).  Every ray integral takes its nodes,
-weights and column cuts from one plan per (rule set, z1 range, config),
-reused by every event and model with that range
-(`procedures._column_plan`).  The result carries no error estimate.
+(`Procedure.z_breakpoints`), on ``theta1 +- Z_RANGE`` for a model with
+shift theta1.  Every ray integral takes its nodes, weights and column
+cuts from one plan per (rule set, z1 range, config), reused by every
+event and model with that range (`procedures._column_plan`).  A threshold
+solve asks for a new plan at each step, so a plan is built in one pass
+over the nodes: the panel edges of the few segments are plain floats,
+and each rule's cuts take a fixed handful of array operations.  The
+result carries no error estimate.
 
 Monte Carlo engine
 ------------------
@@ -145,24 +149,27 @@ def panel_nodes(lo: float, hi: float, breaks: Sequence[float],
     The interval is first split at every interior break point, then each
     segment is subdivided into panels of width at most (hi-lo)/panels.
     Nodes are returned in ascending order, so reductions over them are
-    deterministic.
+    deterministic.  The edges are built as plain floats, segment by
+    segment; the nodes and weights then take one pass over the panels.
     """
-    if not hi > lo:
-        raise DomainError(f"empty integration range [{lo}, {hi}]")
+    if not 0.0 < hi - lo < math.inf:
+        raise DomainError(f"integration range [{lo}, {hi}] must be finite "
+                          f"and non-empty")
     xs, ws = leggauss(order)
-    cuts = np.array(sorted({lo, hi, *(float(b) for b in breaks if lo < float(b) < hi)}))
-    a, b = cuts[:-1], cuts[1:]
-    n_sub = np.maximum(1, np.ceil((b - a) / ((hi - lo) / panels))).astype(np.intp)
-    # one row per panel: panel k of its segment spans edges k and k+1, each
-    # as np.linspace(a, b, n_sub + 1) computes it: k*step + a, the last
-    # edge b itself (its other path, for a step that underflows to 0,
-    # needs a subnormal range)
-    seg = np.repeat(np.arange(len(a)), n_sub)
-    k = np.arange(len(seg)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    a, b, n_sub = a[seg], b[seg], n_sub[seg]
-    step = (b - a) / n_sub
-    left = k * step + a
-    right = np.where(k + 1 == n_sub, b, (k + 1) * step + a)
+    cuts = sorted({lo, hi, *(float(b) for b in breaks if lo < float(b) < hi)})
+    width = (hi - lo) / panels
+    edges = [lo]
+    # each segment's edges as np.linspace(a, b, n + 1) computes them:
+    # k*step + a, the last edge b itself (its other path, for a step that
+    # underflows to 0, needs a subnormal range)
+    for a, b in zip(cuts, cuts[1:]):
+        n = math.ceil((b - a) / width) or 1
+        if n > 1:
+            step = (b - a) / n
+            edges += [k * step + a for k in range(1, n)]
+        edges.append(b)
+    edges = np.array(edges)
+    left, right = edges[:-1], edges[1:]
     mid = 0.5 * (left + right)[:, None]
     half = 0.5 * (right - left)[:, None]
     return (mid + half * xs).ravel(), (half * ws).ravel()

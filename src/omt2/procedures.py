@@ -204,11 +204,27 @@ def hommel_coincidence_bound(alpha: float) -> float:
 # Ray-mass evaluation
 # ----------------------------------------------------------------------
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_GLOBAL_NULL = AlternativeModel(0.0, 0.0, 0.0)
+
+# Bound on |theta1| in `region_mass`.  The z1 nodes near theta1 are
+# rounded to multiples of ulp(theta1), at most 2^-32 below the bound, which
+# moved hommel's d1 by under 3e-11; at 1e16 the rounded nodes gave d1 = 1.6,
+# and from about 2^57 theta1 +- Z_RANGE round to one float.
+MAX_SHIFT = 2.0 ** 21
+
+
 def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
                 column_mass: np.ndarray, *procs: Procedure) -> float:
     """N(m1, 1)-weighted panel sum over z1; a NaN cut or threshold raises."""
-    pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
-    mass = float(np.sum(w * pdf1 * column_mass))
+    pdf1 = np.subtract(z1, m1)
+    pdf1 *= pdf1
+    pdf1 *= -0.5
+    np.exp(pdf1, out=pdf1)
+    pdf1 /= _SQRT_2PI
+    pdf1 *= w
+    pdf1 *= column_mass
+    mass = float(pdf1.sum())
     if not math.isfinite(mass):
         raise ToleranceNotMet(
             f"non-finite mass {mass} for {', '.join(p.describe() for p in procs)}")
@@ -242,26 +258,31 @@ def region_mass(proc: Procedure, which: str,
     which: "d1", "d2" or "any" (union).  model=None means the global
     null.  The inner z2 integral is the exact conditional normal CDF at
     the column cut; the outer integral uses Gauss-Legendre panels split
-    at the procedure's breakpoints.  Nodes and cuts are built once per
-    (rule, z1 range, config) and reused: the range depends on the model
-    only through theta1, so d1, d2 and "any" under one model, and any
-    two models with the same theta1, share one `_column_plan`.
+    at the procedure's breakpoints, over z1 in theta1 +- Z_RANGE, for
+    |theta1| < MAX_SHIFT.  Nodes and cuts are built once per (rule, z1
+    range, config) and reused: the range depends on the model only
+    through theta1, so d1, d2 and "any" under one model, and any two
+    models with the same theta1, share one `_column_plan`.  A plan miss
+    is one pass over the nodes; a hit costs the inner CDF and the sum.
     """
     if which not in ("d1", "d2", "any"):
         raise DomainError(f"which must be d1/d2/any, got {which!r}")
     if model is None:
-        model = AlternativeModel(0.0, 0.0, 0.0)
+        model = _GLOBAL_NULL
     m1, m2, rho = model.theta1, model.theta2, model.rho
-    s_cond = math.sqrt(1.0 - rho * rho)
-    za = alpha_lines(proc.alpha)[0]
-
-    lo = min(m1 - Z_RANGE, za - 1.0)
-    hi = max(m1 + Z_RANGE, za + 1.0)
-    z1, w, c1, c2 = _column_plan((proc,), lo, hi, cfg)
+    if not abs(m1) < MAX_SHIFT:
+        raise DomainError(f"theta1 must lie in (-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f}) "
+                          f"for the quadrature, got {m1!r}")
+    z1, w, c1, c2 = _column_plan((proc,), m1 - Z_RANGE, m1 + Z_RANGE, cfg)
     cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
-    # no special case; a NaN cut surfaces as a non-finite mass
-    inner = ndtr((cut - (m2 + rho * (z1 - m1))) / s_cond)
+    # no special case; a NaN cut surfaces as a non-finite mass.  For
+    # rho = 0 the conditional mean m2 + 0*(z1 - m1) is m2 itself and the
+    # sd is 1.0, so the general form below adds nothing.
+    if rho == 0.0:
+        inner = ndtr(cut - m2 if m2 else cut)
+    else:
+        inner = ndtr((cut - (m2 + rho * (z1 - m1))) / math.sqrt(1.0 - rho * rho))
     return _outer_mass(z1, w, m1, inner, proc)
 
 
@@ -321,6 +342,14 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
 # OMT construction: score threshold solved on the null
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _piece_columns(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`score_pieces` as three (3, 1) coefficient columns c_g, c_1, c_2."""
+    cols = np.array(score_pieces(spec)).T[:, :, None]
+    cols.setflags(write=False)
+    return tuple(cols)
+
+
 def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     """Column cut of {s > t} within the L-shaped domain.
 
@@ -333,25 +362,34 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     t1, t2 = spec.model.theta1, spec.model.theta2
     za = alpha_lines(spec.alpha)[0]
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
+    c_g, c_1, c_2 = _piece_columns(spec)
+    z = z1.reshape(-1)
     # where e1 overflows (strong shifts, deep in the square) every top and
     # bottom value is inf or NaN, so the where chain keeps the whole column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
-        # one row per piece: (3, 1, ...) coefficient columns against e1
-        c_g, c_1, c_2 = np.reshape(np.transpose(score_pieces(spec)),
-                                   (3, 3) + (1,) * e1.ndim)
-        slope, base = c_g * e1 + c_2, c_1 * e1   # s = slope*e2 + base
-        e2 = (t - base) / slope                   # e2 <= 0: no crossing
-        cut = (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
-        top = slope * ea2 + base
+        e1 = np.multiply(t1, z)
+        e1 -= 0.5 * t1 * t1
+        np.exp(e1, out=e1)
+        # one row per piece against e1: s = slope*e2 + base
+        slope = c_g * e1
+        slope += c_2
+        base = c_1 * e1
+        top = slope[:2] * ea2
+        top += base[:2]
+        cut = np.subtract(t, base)
+        cut /= slope                  # the crossing e2; e2 <= 0 or NaN: none
+        cut[~(cut > 0)] = 1.0
+        np.log(cut, out=cut)
+        cut += 0.5 * t2 * t2
+        cut /= t2
     cut_sq, cut_f1, cut_f2 = cut
-    top_sq, top_f1 = top[:2]
+    top_sq, top_f1 = top
     bottom_f1 = base[1]
     # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
     cut_low = np.where(t >= top_sq, cut_sq,
                        np.where(t >= top_f1, za,
                                 np.where(t > bottom_f1, cut_f1, np.inf)))
-    return np.where(z1 <= za, cut_low, cut_f2)
+    return np.where(z <= za, cut_low, cut_f2).reshape(z1.shape)
 
 
 def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:

@@ -82,6 +82,20 @@ class TestPowerCommand:
         fwer_line = [l for l in out.splitlines() if l.startswith("fwer")][0]
         assert "0.0250" in fwer_line
 
+    def test_large_shift_integrates_around_it(self):
+        # pi_avg = (1 + Phi(za + 3)) / 2 when H1 is rejected surely
+        code, out = run(["power", "--proc", "hommel", "--theta1=-1000", "--theta2=-3"])
+        assert code == 0
+        rows = dict(line.split() for line in out.splitlines()[2:])
+        assert (rows["pi_any"], rows["pi_avg"]) == ("1.0000", "0.9254")
+
+    def test_shift_beyond_quadrature_bound(self, capsys):
+        code, _ = run(["power", "--proc", "hommel", "--theta1=-1e160", "--theta2=-3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: theta1 must lie in (-2097152, 2097152) for the "
+            "quadrature, got -1e+160\n")
+
     def test_null_fwer_closed_stouffer_conservative(self):
         code, out = run(["power", "--proc", "closed_stouffer", "--theta1", "0",
                          "--theta2", "0"])

@@ -1,5 +1,6 @@
 """Decision rules, calibrated constructions, and region geometry."""
 
+import hashlib
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
                   region_mass, region_symmetric_difference, score_pieces,
                   score_z, std_normal_quantile)
-from omt2 import numerics, procedures
+from omt2 import numerics, power_design, procedures
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -391,6 +392,18 @@ class TestRayMassGuards:
         with pytest.raises(ToleranceNotMet):
             region_symmetric_difference(proc, hommel(ALPHA), quad_cfg)
 
+    @pytest.mark.parametrize("theta1", [-60.0, -1000.0, -1e5])
+    def test_large_shift_is_integrated_around_it(self, theta1, quad_cfg):
+        # z1 <= zh has all of N(theta1, 1): hommel rejects H1 surely
+        model = AlternativeModel(theta1, -3.0)
+        assert region_mass(hommel(ALPHA), "d1", model, quad_cfg) == pytest.approx(
+            1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("theta1", [-procedures.MAX_SHIFT, 3e6, -1e160])
+    def test_shift_beyond_bound_is_domain_error(self, theta1, quad_cfg):
+        with pytest.raises(DomainError, match="theta1 must lie in"):
+            region_mass(hommel(ALPHA), "any", AlternativeModel(theta1, -3.0), quad_cfg)
+
     @pytest.mark.parametrize("call", [
         lambda cfg: region_mass(Procedure("hommel", 0.7), "any", None, cfg),
         lambda cfg: Procedure("bogus", ALPHA).z_breakpoints(),
@@ -423,6 +436,129 @@ def inline_symmetric_difference(pa, pb, cfg):
     mass = mass - np.where(ohi > olo, ndtr(ohi) - ndtr(olo), 0.0)
     pdf1 = np.exp(-0.5 * z1 ** 2) / math.sqrt(2.0 * math.pi)
     return float(np.sum(w * pdf1 * mass))
+
+
+# -- the ray-mass kernels in their broadcast form, kept as byte references --
+
+def where_chain_union_cut(spec, t, z1):
+    """`procedures._omt_union_cut` as one broadcast over a (3, 1, ...)
+    coefficient table, with np.where for the log's argument."""
+    t1, t2 = spec.model.theta1, spec.model.theta2
+    za = std_normal_quantile(spec.alpha)
+    ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
+        c_g, c_1, c_2 = np.reshape(np.transpose(score_pieces(spec)),
+                                   (3, 3) + (1,) * e1.ndim)
+        slope, base = c_g * e1 + c_2, c_1 * e1
+        e2 = (t - base) / slope
+        cut = (np.log(np.where(e2 > 0, e2, 1.0)) + 0.5 * t2 * t2) / t2
+        top = slope * ea2 + base
+    cut_sq, cut_f1, cut_f2 = cut
+    top_sq, top_f1 = top[:2]
+    bottom_f1 = base[1]
+    cut_low = np.where(t >= top_sq, cut_sq,
+                       np.where(t >= top_f1, za,
+                                np.where(t > bottom_f1, cut_f1, np.inf)))
+    return np.where(z1 <= za, cut_low, cut_f2)
+
+
+def squared_outer_mass(z1, w, m1, column_mass):
+    """`procedures._outer_mass` with the pdf as one expression and np.sum."""
+    pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
+    return float(np.sum(w * pdf1 * column_mass))
+
+
+def conditional_inner(cut, z1, model):
+    """The inner CDF at a column cut in its general form, for any rho."""
+    m1, m2, rho = model.theta1, model.theta2, model.rho
+    return ndtr((cut - (m2 + rho * (z1 - m1))) / math.sqrt(1.0 - rho * rho))
+
+
+def reference_mass(proc, which, model, cfg):
+    """`region_mass` from its plan through the reference kernels."""
+    model = model or AlternativeModel(0.0, 0.0, 0.0)
+    z1, w, c1, c2 = procedures._column_plan(
+        (proc,), model.theta1 - numerics.Z_RANGE, model.theta1 + numerics.Z_RANGE, cfg)
+    cut = {"d1": c1, "d2": c2, "any": np.maximum(c1, c2)}[which]
+    return squared_outer_mass(z1, w, model.theta1, conditional_inner(cut, z1, model))
+
+
+def kernel_grid():
+    """(spec, thresholds, z1 points) over 7 weight sets x 4 alpha x 5 theta.
+
+    The thresholds run from 1e-300 to 1e300 through the corner score; the
+    z1 points add every kink of every threshold and its two neighbouring
+    floats to a grid that spans both sides of quantile(alpha)."""
+    rng = np.random.default_rng(20261019)
+    weights = [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5),
+               *(tuple(rng.dirichlet([1.0, 1.0, 1.0]).tolist()) for _ in range(2))]
+    thetas = [(-2.0, -2.0), (-0.5, -6.0), (-6.0, -0.5), (-30.0, -30.0),
+              tuple(rng.uniform(-6.0, -0.5, 2).tolist())]
+    for w in weights:
+        for alpha in (0.005, 0.025, 0.05, 0.5):
+            for theta in thetas:
+                spec = ObjectiveSpec(*w, AlternativeModel(*theta), alpha)
+                za = std_normal_quantile(alpha)
+                corner = float(score_z(spec, za, za))
+                ts = [1e-300, 1e-200, 1e200, 1e300, corner,
+                      *(corner * 10.0 ** u for u in rng.uniform(-8.0, 8.0, 3).tolist())]
+                kinks = [k for t in ts for k in procedures._omt_kinks(spec, t)]
+                z1 = np.concatenate([np.linspace(-40.0, 12.0, 301), [za], kinks,
+                                     np.nextafter(kinks, -np.inf),
+                                     np.nextafter(kinks, np.inf)])
+                yield spec, ts, z1
+
+
+class TestKernelsMatchReferences:
+    """The in-place kernels give the bytes of their broadcast forms."""
+
+    def test_union_cut(self):
+        for spec, ts, z1 in kernel_grid():
+            for t in ts:
+                got = procedures._omt_union_cut(spec, t, z1)
+                assert got.tobytes() == where_chain_union_cut(spec, t, z1).tobytes(), (
+                    spec, t)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_column_cuts_keep_shape_and_bytes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for spec, ts, _ in kernel_grid():
+            proc = Procedure("omt", spec.alpha, spec=spec, t_score=ts[4])
+            z1 = rng.uniform(-8.0, 4.0, shape)
+            level = std_normal_quantile(spec.alpha)
+            u = where_chain_union_cut(spec, ts[4], z1)
+            for got, ref in zip(proc.column_cuts(z1),
+                                (np.where(z1 <= level, u, -np.inf),
+                                 np.minimum(u, level))):
+                assert np.shape(got) == shape
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_column_cuts_of_a_python_float(self):
+        proc = Procedure("omt", ALPHA, spec=SPEC_ONE, t_score=0.37)
+        u = where_chain_union_cut(SPEC_ONE, 0.37, np.float64(-2.3))
+        assert proc.column_cuts(-2.3)[1] == min(u, ZA)
+
+    def test_outer_mass(self):
+        rng = np.random.default_rng(7)
+        z1, w = numerics.panel_nodes(-12.0, 9.5, [ZA, ZH], 24, 16)
+        for m1 in (0.0, -0.0, -2.5, 3.0, -1e3, 2.0 ** 20):
+            cm = rng.uniform(0.0, 1.0, z1.size)
+            assert (procedures._outer_mass(z1, w, m1, cm).hex()
+                    == squared_outer_mass(z1, w, m1, cm).hex())
+
+    @pytest.mark.parametrize("model", [
+        None, AlternativeModel(-2.5, 0.0), AlternativeModel(-2.5, -0.0),
+        AlternativeModel(0.0, -3.0), AlternativeModel(-2.2, -2.9),
+        AlternativeModel(-2.2, -2.9, -0.0), AlternativeModel(-2.2, -2.9, 0.4),
+        AlternativeModel(1.5, -1.0, -0.7), AlternativeModel(-60.0, -3.0)],
+        ids=["null", "m2_zero", "m2_negative_zero", "m1_zero", "independent",
+             "rho_negative_zero", "rho_positive", "rho_negative", "far_shift"])
+    def test_region_mass(self, model, all_procedures, quad_cfg):
+        for proc in all_procedures.values():
+            for which in ("d1", "d2", "any"):
+                assert (region_mass(proc, which, model, quad_cfg).hex()
+                        == reference_mass(proc, which, model, quad_cfg).hex())
 
 
 class TestColumnPlan:
@@ -510,6 +646,74 @@ class TestColumnPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert evaluate_power(proc, model, quad_cfg).pi_any == pytest.approx(1.0)
+
+
+class TestSolverBits:
+    def test_solved_thresholds_and_powers_pinned(self):
+        # 45 omt solves with their power reports and 3 bittman solves,
+        # pinned bit for bit (hex floats, reprs)
+        h = hashlib.sha256()
+        for alpha in (0.01, 0.025, 0.05):
+            for w in [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)]:
+                for theta in ((-2.2, -2.9), (-3.0, -3.0), (-5.0, -3.5)):
+                    model = AlternativeModel(*theta)
+                    proc = build_omt(ObjectiveSpec(*w, model, alpha))
+                    h.update(proc.t_score.hex().encode())
+                    h.update(repr(evaluate_power(proc, model)).encode())
+            h.update(build_bittman(alpha).t_sum.hex().encode())
+        assert h.hexdigest() == (
+            "b01082bfb1bdcbab51a104979c7bf6138a6febb130fa5bd48d8c4fad96d6f964")
+
+
+class TestCallStructure:
+    """`region_mass` calls and column plans of the calls the benchmark's
+    ``ref.*`` counts pin (31 for `build_bittman(0.025)`, 5 for one
+    `evaluate_power`)."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Empty plan cache; a function that runs a call and returns its
+        (region_mass calls, column plans built)."""
+        calls = []
+        real = procedures.region_mass
+
+        def region_mass_counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(procedures, "region_mass", region_mass_counted)
+        monkeypatch.setattr(power_design, "region_mass", region_mass_counted)
+
+        def run(fn):
+            calls.clear()
+            procedures._column_plan.cache_clear()
+            fn()
+            return len(calls), procedures._column_plan.cache_info().misses
+        yield run
+        procedures._column_plan.cache_clear()
+
+    def test_bittman(self, counted):
+        assert counted(lambda: build_bittman(0.025)) == (31, 30)
+
+    def test_evaluate_power(self, counted):
+        model = AlternativeModel(-2.5, -2.5)
+        assert counted(lambda: evaluate_power(hommel(0.025), model))[0] == 5
+
+    @pytest.mark.parametrize("w", [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)])
+    @pytest.mark.parametrize("theta", [(-2.5, -3.0), (-2.2, -2.9), (-5.0, -3.5)])
+    def test_omt_plans_three_fewer_than_calls(self, w, theta, counted):
+        # the three hits: the bisection's two end points, which the bracket
+        # already evaluated, and the re-check of the solved threshold
+        spec = ObjectiveSpec(*w, AlternativeModel(*theta), 0.025)
+        calls, plans = counted(lambda: build_omt(spec))
+        assert plans == calls - 3
+        if w == MEASURE_WEIGHTS["pi_avg"] and theta == (-2.5, -3.0):
+            assert calls == 34
+
+    def test_omt_bracket_step_adds_a_hit(self, counted):
+        # here the high end steps once by 20 from log(corner), so the first
+        # bisection midpoint is log(corner) again
+        spec = measure_spec("pi_1", AlternativeModel(-3.0, -3.0), 0.025)
+        assert counted(lambda: build_omt(spec)) == (37, 33)
 
 
 class TestRegionExport:
