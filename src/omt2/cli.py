@@ -208,22 +208,22 @@ def _power_columns(selection: str, alpha: float, th1: float, th2: float,
 
 def _power_table(cols: list[tuple[str, Procedure]],
                  model: AlternativeModel | None, rho: float | None,
-                 qcfg: QuadratureConfig, out_stream) -> None:
-    """Write the measure x procedure matrix at 4 decimals; model=None
+                 qcfg: QuadratureConfig) -> str:
+    """The measure x procedure matrix at 4 decimals, as text; model=None
     leaves out the measure rows, rho=None the global-null fwer row."""
     width = max(len(name) for name, _ in cols)
 
-    def row(label: str, cells) -> None:
-        out_stream.write(label.ljust(10)
-                         + "".join(c.rjust(width + 2) for c in cells) + "\n")
+    def row(label: str, cells) -> str:
+        return label.ljust(10) + "".join(c.rjust(width + 2) for c in cells) + "\n"
 
-    row("measure", [name for name, _ in cols])
+    rows = [row("measure", [name for name, _ in cols])]
     if model is not None:
         reports = [evaluate_power(proc, model, qcfg) for _, proc in cols]
-        for m in MEASURES:
-            row(m, [f"{rep.get(m):.4f}" for rep in reports])
+        rows += [row(m, [f"{rep.get(m):.4f}" for rep in reports]) for m in MEASURES]
     if rho is not None:
-        row("fwer", [f"{fwer_global(proc, rho, qcfg):.4f}" for _, proc in cols])
+        rows.append(row("fwer", [f"{fwer_global(proc, rho, qcfg):.4f}"
+                                 for _, proc in cols]))
+    return "".join(rows)
 
 
 def _write_out(path: str, text: str, stream) -> None:
@@ -309,17 +309,18 @@ def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
         cols = _power_columns(cfg["procedures"], alpha, th1, th2, qcfg)
 
     model = AlternativeModel(th1, th2, rho)
-    out_stream.write(f"alpha = {alpha:.6g}  theta = ({th1:.6g}, {th2:.6g})"
-                     f"  rho = {rho:.6g}\n")
     null_like = th1 == 0.0 and th2 == 0.0
-    _power_table(cols, None if null_like else model, rho, qcfg, out_stream)
-
+    # every value is computed before the first write, so an error leaves
+    # stdout empty rather than holding the head of a table
+    text = [f"alpha = {alpha:.6g}  theta = ({th1:.6g}, {th2:.6g})  rho = {rho:.6g}\n",
+            _power_table(cols, None if null_like else model, rho, qcfg)]
     if mcc is not None:
-        out_stream.write("monte carlo (mean, se):\n")
+        text.append("monte carlo (mean, se):\n")
         for (name, proc) in cols:
             est = mc_power(proc, model, mcc)
             parts = [f"{m}={est[m][0]:.4f}(se {est[m][1]:.1e})" for m in MEASURES]
-            out_stream.write(f"  {name}: " + " ".join(parts) + "\n")
+            text.append(f"  {name}: " + " ".join(parts) + "\n")
+    out_stream.write("".join(text))
     return 0
 
 
@@ -389,8 +390,8 @@ def cmd_apex(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
         out_stream.write(f"power matrix ({cfg['calibration']} calibration, "
                          f"theta = ({th1:.6g}, {th2:.6g})):\n")
         n_benchmark = len(_OMT_COLUMNS) + len(_SELECTIONS["benchmark"])
-        _power_table(cols[:n_benchmark], AlternativeModel(th1, th2, 0.0), None,
-                     qcfg, out_stream)
+        out_stream.write(_power_table(cols[:n_benchmark], AlternativeModel(th1, th2, 0.0),
+                                      None, qcfg))
         out_stream.write("note: power values depend on the calibration mode; "
                          "see --calibration.\n")
     return 0

@@ -33,16 +33,20 @@ normal deviates are produced by the inverse-CDF transform
 `gauss.std_normal_quantile` (scipy's ``ndtri``).
 
 `normal_pairs` and `mc_estimate` split the sample into blocks of
-``_BLOCK`` = 2^15 replications, small enough that a block's temporaries
-stay in cache, and run the blocks on one thread per CPU this process may
-run on: the calling thread and a pool of workers (numpy and scipy
-release the interpreter lock inside their loops).  The pool lives only
-for the call: no thread starts at import or outlives a call.
+``_BLOCK`` = 2^16 replications and run the blocks on one thread per CPU
+this process may run on: the calling thread and a pool of workers (numpy
+and scipy release the interpreter lock inside their loops, and take it
+back between calls, so a block is sized for few, large calls).  The pool
+lives only for the call: no thread starts at import or outlives a call.
+Only the latest draw is memoized, and a new draw drops it before it is
+made, so one draw is alive at a time.
 `mc_estimate` takes a tuple of models, all shifts of the one draw, and
-calls the event once per block with one (z1, z2) pair per model,
-possibly at the same time as other blocks and in any order, so it must
-be a pure elementwise function: value k may depend only on replication
-k's pairs.  It returns a tuple of bool arrays, and `mc_estimate` the
+calls the event once per block with one (z1, z2) pair per model, one
+array per distinct shifted vector (models with equal shifts get the same
+array, so an event can form each vector's work once), possibly at the
+same time as other blocks and in any order, so it must be a pure
+elementwise function: value k may depend only on replication k's
+pairs.  It returns a tuple of bool arrays, and `mc_estimate` the
 exact number of True values in each, so no full-length array is kept
 (`mc_power` gets each measure's exact sums of x and x^2 from such counts
 by inclusion-exclusion).  The draws of a block are a pure function of
@@ -83,10 +87,11 @@ __all__ = [
 # every tolerance used in the package.
 Z_RANGE = 9.5
 
-# Replications per Monte Carlo block: 2^15 float64 values are 256 KB, so
-# a block's event temporaries stay in a core's L2 cache, and two workers
-# hold about what one block of 2^16 held.
-_BLOCK = 1 << 15
+# Replications per Monte Carlo block: 2^16 float64 values are 512 KB.  The
+# blocks' numpy calls cost a fixed overhead each, and the workers take turns
+# on the interpreter lock between calls, so fewer, larger calls run faster
+# than blocks that fit a core's L2 cache.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -292,16 +297,28 @@ def _map_blocks(fn: Callable[[int], object], reps: int) -> list:
     return results
 
 
-@functools.lru_cache(maxsize=1)
+_draws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_draws_lock = threading.Lock()
+
+
 def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal vectors of length ``reps``.
 
     Pair k uses stream outputs k and reps+k, so the k-th replication is
     a pure function of (seed, reps, k); the blocks fill disjoint slices.
     Only the latest draws are memoized, as every caller reuses one
-    (seed, reps) at a time; they are read-only, so no caller can change
-    the draws of the next.
+    (seed, reps) at a time, and a new draw drops the old one before it is
+    made, so a process holds one draw, not two.  The draws are read-only,
+    so no caller can change those of the next.  ``normal_pairs.cache_clear()``
+    empties the memo.
     """
+    key = (seed, reps)
+    with _draws_lock:
+        pair = _draws.get(key)
+        if pair is None:
+            _draws.clear()
+    if pair is not None:
+        return pair
     pair = np.empty(reps), np.empty(reps)
 
     def fill(lo: int) -> None:
@@ -312,7 +329,13 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     _map_blocks(fill, reps)
     for zz in pair:
         zz.setflags(write=False)
+    with _draws_lock:
+        _draws.clear()
+        _draws[key] = pair
     return pair
+
+
+normal_pairs.cache_clear = _draws.clear
 
 
 def _second(t2: float, rho: float, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
@@ -329,8 +352,9 @@ def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
 
     Model m shifts the one draw to z1 = theta1 + Z1 and z2 = theta2 +
     rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model: a block
-    forms each distinct shifted vector once, and passes the draw itself
-    for a zero shift (the draws are never +-0, so 0.0 + b is b).  It is
+    forms each distinct shifted vector once and passes that one array to
+    every model that shares it, and passes the draw itself for a zero
+    shift (the draws are never +-0, so 0.0 + b is b).  It is
     called once per block of ``_BLOCK`` replications, on one thread per
     CPU and in any order, and returns a tuple of bool arrays (any other
     dtype raises DomainError).  The block counts are added as Python ints,

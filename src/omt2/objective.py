@@ -56,9 +56,10 @@ _WEIGHT_TOL = 1e-12
 class ObjectiveSpec:
     """Convex weights over the three objectives plus the alternative.
 
-    Weights must lie in [0, 1] and sum to 1 within 1e-12.  Both shifts
-    must be strictly negative (theta = 0 is the boundary null and gives
-    a degenerate score) and alpha must lie in (0, 0.5].
+    Weights must lie in [0, 1] and sum to 1 within 1e-12; they are stored
+    as Python floats, so a numpy weight gives the same arithmetic.  Both
+    shifts must be strictly negative (theta = 0 is the boundary null and
+    gives a degenerate score) and alpha must lie in (0, 0.5].
     """
 
     w_any: float
@@ -74,6 +75,8 @@ class ObjectiveSpec:
             raise DomainError(f"objective weights must lie in [0, 1], got {w}")
         if abs(sum(w) - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"objective weights must sum to 1, got {w}")
+        for name, x in zip(("w_any", "w_avg", "w_one"), w):
+            object.__setattr__(self, name, float(x))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not (self.model.theta1 < 0 and self.model.theta2 < 0):
             raise DomainError(
@@ -98,52 +101,116 @@ def _require_independent(spec: ObjectiveSpec) -> None:
             "scores are defined for independent p-values only (rho = 0)")
 
 
-def score_z(spec: ObjectiveSpec, z1, z2):
-    """Score evaluated at z-scores (vectorized).
+def score_parts(spec: ObjectiveSpec, k: int, z) -> tuple:
+    """Coordinate k's part of the score at the 1-D z-scores z.
 
-    On the square both indicators are active; on the flanks only the
-    small coordinate contributes its a_i, while a3 stays active on the
-    whole L-shaped domain.  The sum
+    Returns (in_k, z, e_k, one_k): the L-domain indicator z <= za, z
+    itself (as a float array), e_k = exp(theta_k*z - theta_k^2/2) where
+    the pair term g = e1*e2 needs it (else None), and the w_one term
+    e_k*w_one/2 (None for w_one = 0), already times in_k when w_avg = 0,
+    since no pair term is then added to it.  `score_pair` combines two
+    such parts, and writes over one only when its caller names it spare.
+    """
+    _require_independent(spec)
+    z = np.asarray(z, dtype=float)
+    w_any, w_avg, w_one = spec.weights
+    ind = z <= alpha_lines(spec.alpha)[0]
+    with np.errstate(over="ignore"):
+        e = _lr_z((spec.model.theta1, spec.model.theta2)[k - 1], z)
+        one = None
+        if w_one:
+            # with no pair term, the w_one term takes e's buffer
+            one = np.multiply(e, w_one, out=None if w_any or w_avg else e)
+            one *= 0.5
+            if not w_avg:
+                one *= ind
+    return ind, z, e if w_any or w_avg else None, one
+
+
+def score_pair(spec: ObjectiveSpec, p1: tuple, p2: tuple,
+               spare: int | None = None) -> np.ndarray:
+    """Score from the two coordinates' `score_parts`.
+
+    The sum
 
         w_any*g*1{in1|in2} + in1*(w_avg*g/2 + w_one*e1/2)
                            + in2*(w_avg*g/2 + w_one*e2/2),  g = e1*e2,
 
-    is formed in place, in that order, less the terms whose weight is 0
-    (each would add +0, or NaN where its exponential overflows).  An
-    overflow gives +inf without a warning; the inputs are never written.
+    is formed term by term in that order, less the terms whose weight is
+    0 (each would add +0, or NaN where its exponential overflows).  An
+    overflow gives +inf without a warning.  Where the sum is NaN (g is
+    inf*0 where one exponential overflows and the other underflows, or an
+    inf term meets a false indicator) those entries alone are recomputed
+    by `_score_exact`, so every other score keeps its bits.
+
+    ``spare`` (1 or 2) names a part its caller drops after this call: the
+    sum is then formed in that part's exponential, or in its w_one term
+    where it has no exponential, instead of a new array.
     """
-    _require_independent(spec)
-    za = alpha_lines(spec.alpha)[0]
-    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=float),
-                                 np.asarray(z2, dtype=float))
-    shape = z1.shape
-    z1, z2 = z1.reshape(-1), z2.reshape(-1)
+    (in1, z1, e1, one1), (in2, z2, e2, one2) = p1, p2
     w_any, w_avg, w_one = spec.weights
-    in1, in2 = z1 <= za, z2 <= za
-    with np.errstate(over="ignore"):
-        e1, e2 = _lr_z(spec.model.theta1, z1), _lr_z(spec.model.theta2, z2)
-        # with no w_one term, g takes e1's buffer and the terms e2's and g's
-        g = np.multiply(e1, e2, out=None if w_one else e1) if w_any or w_avg else None
-        terms = []
+    buf = None if spare is None else next(a for a in (p1, p2)[spare - 1][2:]
+                                          if a is not None)
+    terms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w_any or w_avg:
+            g = np.multiply(e1, e2, out=buf)
         if w_any:
             terms.append(np.multiply(w_any, g, out=None if w_avg else g))
             terms[0] *= in1 | in2
         if w_avg:
             g *= w_avg
             g *= 0.5
-        if w_one:
-            for e, ind in ((e1, in1), (e2, in2)):
-                e *= w_one
-                e *= 0.5
-                if w_avg:
-                    np.add(g, e, out=e)
-                e *= ind
-                terms.append(e)
-        elif w_avg:
-            terms += [np.multiply(g, in1, out=e2), np.multiply(g, in2, out=g)]
+            if w_one:
+                first = np.add(g, one1)
+                first *= in1
+                second = np.add(g, one2, out=g)
+                second *= in2
+            else:
+                first, second = np.multiply(g, in1), np.multiply(g, in2, out=g)
+            terms += [first, second]
+        elif w_any and w_one:
+            terms += [one1, one2]
+        elif w_one:   # the parts are not written, so the sum is a new array
+            terms = [np.add(one1, one2, out=buf)]
         s = terms[0]
         for term in terms[1:]:
             s += term
+        if np.isnan(s.max(initial=0.0)):
+            bad = np.isnan(s)
+            s[bad] = _score_exact(spec, z1[bad], z2[bad])
+    return s
+
+
+def _score_exact(spec: ObjectiveSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The score with no inf*0 in it: g = exp(f1 + f2) from the exponents
+    f_k, and each indicator selects its terms instead of multiplying them."""
+    za = alpha_lines(spec.alpha)[0]
+    w_any, w_avg, w_one = spec.weights
+    t1, t2 = spec.model.theta1, spec.model.theta2
+    f1, f2 = t1 * z1 - 0.5 * t1 * t1, t2 * z2 - 0.5 * t2 * t2
+    s = np.zeros(z1.shape)
+    with np.errstate(over="ignore"):
+        g = np.exp(f1 + f2)
+        if w_any:
+            s += np.where((z1 <= za) | (z2 <= za), w_any * g, 0.0)
+        for f, z in ((f1, z1), (f2, z2)):
+            term = w_avg * g * 0.5 if w_avg else 0.0
+            if w_one:
+                term = term + w_one * np.exp(f) * 0.5
+            s += np.where(z <= za, term, 0.0)
+    return s
+
+
+def score_z(spec: ObjectiveSpec, z1, z2):
+    """Score evaluated at z-scores (vectorized): `score_pair` of the two
+    coordinates' `score_parts`, on the broadcast inputs, which are never
+    written."""
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=float),
+                                 np.asarray(z2, dtype=float))
+    shape = z1.shape
+    s = score_pair(spec, score_parts(spec, 1, z1.reshape(-1)),
+                   score_parts(spec, 2, z2.reshape(-1)))
     return s.reshape(shape) if shape else s[0]
 
 

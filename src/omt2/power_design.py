@@ -189,14 +189,26 @@ def mc_power(proc: Procedure, model: AlternativeModel,
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
     One `mc_estimate` pass decides the alternative and both semi-nulls on
-    the same draws (s_k is semi-null k's decision).  Each measure's value,
+    the same draws (s_k is semi-null k's decision).  The three models use
+    four distinct vectors, since semi-null 1 shares z1 and semi-null 2
+    shares z2, so each block forms the rule's per-coordinate parts
+    (`Procedure._parts`) once per vector, and each model's union once;
+    a semi-null forms only the decision it reports.  Each measure's value,
     any, (d1 + d2)/2, (s1 + s2)/2 or (any + s1 + s2)/3, sums k indicators
     over k, so its S1 adds their counts and S2 = S1 + 2 * their overlaps'
     counts (x^2 = x for a bool): each SE is exact, covariance included.
     """
     def event(z1, z2, x1, x2, y1, y2):
-        d1, d2 = proc.decide_z(z1, z2)
-        s1, s2 = proc.decide_z(x1, x2)[0], proc.decide_z(y1, y2)[1]
+        # one array per distinct vector (x1 is z1, y2 is z2): each vector's
+        # parts are formed once, at most two vectors' parts are alive at a
+        # time, and the last pair that reads a part may write over it
+        p2 = proc._parts(2, z2)
+        s2 = p2[0] & proc._in_union(proc._parts(1, y1), p2, spare=1)
+        p1 = proc._parts(1, z1)
+        union = proc._in_union(p1, p2, spare=2)
+        d1, d2 = p1[0] & union, p2[0] & union
+        del p2, union
+        s1 = p1[0] & proc._in_union(p1, proc._parts(2, x2), spare=2)
         return (hit := d1 | d2), d1, d2, s1, s2, s1 & s2, hit & s1, hit & s2
 
     models = (model, _semi_null(model, 1), _semi_null(model, 2))

@@ -42,7 +42,7 @@ from .errors import DomainError, ToleranceNotMet
 from .gauss import (AlternativeModel, alpha_lines, check_alpha,
                     clamp_pvalue, std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, check_count, panel_nodes
-from .objective import ObjectiveSpec, score_pieces, score_z
+from .objective import ObjectiveSpec, score_pair, score_parts, score_pieces, score_z
 
 __all__ = [
     "Decision", "Procedure", "bonferroni", "hommel", "closed_stouffer",
@@ -111,18 +111,33 @@ class Procedure:
         za, zh = alpha_lines(self.alpha)
         return zh if self.kind == "bonferroni" else za
 
-    def _in_union(self, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        """Pointwise membership of U (the Monte Carlo path)."""
-        za, zh = alpha_lines(self.alpha)
-        if self.kind == "bonferroni":
-            return np.minimum(z1, z2) <= zh
+    def _parts(self, k: int, z: np.ndarray) -> tuple:
+        """Coordinate k's parts at z-scores z: the level test z <= level
+        first, then what `_in_union` reads of coordinate k.  Only a pair
+        that names a part spare writes over it, so one vector's parts serve
+        every pair it is in."""
+        if self.kind == "omt":   # its L-domain indicator is the level test
+            return score_parts(self.spec, k, z)
+        level = z <= self._level()
         if self.kind == "hommel":
-            return (np.minimum(z1, z2) <= zh) | (np.maximum(z1, z2) <= za)
+            return level, z <= alpha_lines(self.alpha)[1]
         if self.kind in ("closed_stouffer", "bittman"):
-            return (z1 + z2) <= self.t_sum
+            return level, z
+        return (level,)
+
+    def _in_union(self, p1: tuple, p2: tuple, spare: int | None = None) -> np.ndarray:
+        """Pointwise membership of U from the two coordinates' `_parts`;
+        ``spare`` (1 or 2) names a part the call may write over, because
+        its caller drops it after the call."""
+        if self.kind == "bonferroni":      # min(z1, z2) <= zh
+            return p1[0] | p2[0]
+        if self.kind == "hommel":          # min <= zh, or max(z1, z2) <= za
+            return (p1[1] | p2[1]) | (p1[0] & p2[0])
+        if self.kind in ("closed_stouffer", "bittman"):
+            return (p1[1] + p2[1]) <= self.t_sum
         if self.kind == "fixed_sequence":
-            return z1 <= za
-        return score_z(self.spec, z1, z2) > self.t_score
+            return p1[0]
+        return score_pair(self.spec, p1, p2, spare) > self.t_score
 
     def _union_cut(self, z1: np.ndarray) -> np.ndarray:
         """Column cut u of U = {z2 <= u(z1)}; `column_cuts` clips it at the level."""
@@ -139,9 +154,12 @@ class Procedure:
 
     # -- vectorized decisions on z-scores ---------------------------------
     def decide_z(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        level = self._level()
-        union = self._in_union(z1, z2)
-        return (z1 <= level) & union, (z2 <= level) & union
+        """(d1, d2) at broadcast z-scores: each coordinate's `_parts`, then
+        the union of the pair, which each level test narrows."""
+        z1, z2 = np.broadcast_arrays(z1, z2)
+        p1, p2 = self._parts(1, z1.reshape(-1)), self._parts(2, z2.reshape(-1))
+        union = self._in_union(p1, p2)
+        return (p1[0] & union).reshape(z1.shape), (p2[0] & union).reshape(z2.shape)
 
     # -- column geometry ---------------------------------------------------
     def column_cuts(self, z1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -96,6 +96,12 @@ class TestPowerCommand:
             "configuration error: theta1 must lie in (-2097152, 2097152) for the "
             "quadrature, got -1e+160\n")
 
+    def test_evaluation_error_leaves_stdout_empty(self, capsys):
+        # every cell is evaluated before the table head is written
+        code, out = run(["power", "--proc", "hommel", "--theta1=-3e6", "--theta2=-3"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("configuration error: theta1 must lie")
+
     def test_null_fwer_closed_stouffer_conservative(self):
         code, out = run(["power", "--proc", "closed_stouffer", "--theta1", "0",
                          "--theta2", "0"])
@@ -574,6 +580,20 @@ class TestSaturatedScore:
         mc = done.stdout.decode().split("monte carlo")[1]
         for m in ("pi_avg", "pi_any", "pi_1", "pi_combo"):
             assert f"{m}=1.0000(" in mc, m
+
+    def test_mc_rejects_where_the_pair_term_is_inf_times_zero(self):
+        # at theta = -40 a semi-null's e1 overflows while its e2 underflows:
+        # those scores are recomputed instead of left NaN, so Monte Carlo
+        # agrees with quadrature, and nothing is written to stderr
+        import subprocess
+        exe, env = python_m_omt2()
+        argv = exe + ["power", "--proc", "omt", "--objective", "combo",
+                      "--theta1=-40", "--theta2=-40", "--mc", "--reps", "100000"]
+        done = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+        assert done.returncode == 0 and done.stderr == b""
+        quad, mc = done.stdout.decode().split("monte carlo")
+        for m in ("pi_avg", "pi_any", "pi_1", "pi_combo"):
+            assert f"{m:10s}1.0000" in quad and f"{m}=1.0000(" in mc, m
 
 
 class TestClosedStdout:

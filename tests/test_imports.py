@@ -5,7 +5,9 @@ a module of this test directory, or the import name of a distribution
 listed in ``pyproject.toml`` (``dependencies`` or the ``test`` extra).
 A package that merely happens to be installed does not count.  Neither
 the import nor a call leaves a thread behind.  Quadrature nodes have one
-builder in the package, so a second panel path cannot come back unseen.
+builder in the package, so a second panel path cannot come back unseen,
+and a rule's per-coordinate decision parts have one caller besides
+``decide_z``.
 """
 
 import ast
@@ -94,6 +96,13 @@ def test_panel_nodes_has_one_caller():
 def test_mc_estimate_has_one_caller():
     # one Monte Carlo pass decides every model of a power estimate
     assert callers_in_src("mc_estimate") == ["power_design.mc_power"]
+
+
+def test_parts_have_one_caller_besides_decide_z():
+    # decide_z is the one decision path; only mc_power's event takes a
+    # rule's per-coordinate parts apart, to form each vector's parts once
+    assert sorted(set(callers_in_src("_parts"))) == [
+        "power_design.mc_power.event", "procedures.Procedure.decide_z"]
 
 
 THREAD_PROBE = """

@@ -133,7 +133,8 @@ class TestSplitmix64:
                                 for k in range(start, start + count)]
 
     def test_normal_pairs_bits_pinned(self, fresh_draws):
-        # three full blocks and a short one, pinned bit for bit
+        # a full block and a short one, pinned bit for bit (no bit depends
+        # on the block size)
         zz1, zz2 = normal_pairs(20260810, 3 * (1 << 15) + 17)
         assert hashlib.sha256(zz1.tobytes() + zz2.tobytes()).hexdigest() == (
             "8d7ee9b9a0820a499d3c3a02b240885cb50f36981afb3567306b6ce1fb4964a6")
@@ -453,7 +454,7 @@ class TestThreadedEngine:
     """The blocks run on worker threads; no returned bit may depend on the
     worker count, and a block's failure reaches the caller."""
 
-    CFG = McConfig(reps=200_001, seed=4242)     # seven blocks, the last short
+    CFG = McConfig(reps=200_001, seed=4242)     # four blocks, the last short
 
     @pytest.fixture(scope="class")
     def cases(self):

@@ -1,13 +1,15 @@
 """Objective coefficients and the score function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import lr_density, measure_spec, score
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
-                  ObjectiveSpec, UnsupportedModel, score_pieces, score_z)
+                  ObjectiveSpec, Procedure, UnsupportedModel, score_pieces,
+                  score_z)
 from omt2.gauss import alpha_lines
 
 ALPHA = 0.025
@@ -25,6 +27,17 @@ class TestSpecValidation:
             ObjectiveSpec(-0.1, 0.6, 0.5, MODEL, ALPHA)
         with pytest.raises(DomainError):
             ObjectiveSpec(float("nan"), 0.5, 0.5, MODEL, ALPHA)
+
+    def test_numpy_weights_stored_as_floats(self):
+        # a kink root that overflows is then inf, as for Python weights,
+        # instead of a numpy "overflow in scalar divide" warning
+        spec = ObjectiveSpec(*np.array([0.0, 1.0, 0.0]), AlternativeModel(-30.0, -30.0),
+                             ALPHA)
+        assert all(type(w) is float for w in spec.weights)
+        rule = Procedure("omt", ALPHA, spec=spec, t_score=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rule.z_breakpoints() == [alpha_lines(ALPHA)[0]]
 
     def test_weights_must_be_numbers(self):
         for w in (("1", 0, 0), (1, None, 0)):
@@ -180,8 +193,8 @@ class TestScoreInPlace:
     def inputs(self, rng):
         za = alpha_lines(ALPHA)[0]
         # both sides of the alpha line, the line itself, and shifts large
-        # enough that exp overflows (a zero-weight term stays 0 there; a
-        # positive weight's inf times a false indicator is still nan)
+        # enough that exp overflows (a zero-weight term stays 0 there; where
+        # the expression meets inf*0, score_z recomputes the entry)
         z = np.concatenate([rng.uniform(-9.0, 6.0, 60), [za, -300.0, 300.0]])
         z2d = rng.uniform(-9.0, 6.0, (2, 3, 7)).reshape(6, 7)
         return [(-1.7, -2.4), (za, 2.0),
@@ -198,7 +211,28 @@ class TestScoreInPlace:
                 want = expression_score_z(spec, z1, z2)
                 assert type(got) is type(want)
                 assert np.shape(got) == np.shape(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                kept = ~np.isnan(want)
+                assert not np.isnan(got).any()
+                assert (np.asarray(got)[kept].tobytes()
+                        == np.asarray(want)[kept].tobytes())
+
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_inf_times_zero_is_recomputed(self, w):
+        # (-300, 300): e1 overflows and e2 underflows, so g = e1*e2 is
+        # inf*0; (-300, 1): g overflows where z2's indicator is false.  The
+        # score is exp(f1 + f2) times the joint weights, plus +inf where
+        # w_one meets e1; only those entries change
+        spec = ObjectiveSpec(*w, self.SPEC_MODEL, ALPHA)
+        z1, z2 = np.array([-300.0, -300.0, -2.5]), np.array([300.0, 1.0, -2.5])
+        got = score_z(spec, z1, z2)
+        w_any, w_avg, w_one = w
+        t1, t2 = self.SPEC_MODEL.theta1, self.SPEC_MODEL.theta2
+        g = math.exp((t1 * z1[0] - 0.5 * t1 * t1) + (t2 * z2[0] - 0.5 * t2 * t2))
+        want0 = math.inf if w_one else w_any * g + w_avg * g / 2.0
+        assert got[0] == pytest.approx(want0, rel=1e-12)
+        assert got[1] == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert got[2:].tobytes() == expression_score_z(spec, z1, z2)[2:].tobytes()
 
     @pytest.mark.parametrize("measure", ["pi_1", "pi_combo"])
     def test_overflow_saturates_at_inf(self, measure):

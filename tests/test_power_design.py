@@ -1,5 +1,6 @@
 """Power measures, trial-design mappings, and design-level searches."""
 
+import hashlib
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -202,7 +203,7 @@ class TestEvaluatePower:
             assert abs(rep.get(m) - mean) <= 3 * se + 1e-12, m
 
     def test_mc_power_decides_each_model_once(self, monkeypatch):
-        calls = {"decide_z": 0, "mc_estimate": 0}
+        calls = {"_parts": 0, "_in_union": 0, "decide_z": 0, "mc_estimate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -210,29 +211,37 @@ class TestEvaluatePower:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(Procedure, "decide_z",
-                            counted("decide_z", Procedure.decide_z))
+        for name in ("_parts", "_in_union", "decide_z"):
+            monkeypatch.setattr(Procedure, name, counted(name, getattr(Procedure, name)))
         monkeypatch.setattr(omt2.power_design, "mc_estimate",
                             counted("mc_estimate", omt2.power_design.mc_estimate))
         mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5),
                  McConfig(reps=20_000, seed=5))
-        # one pass, one decide per model
-        assert calls == {"decide_z": 3, "mc_estimate": 1}
+        # one pass over one block: the parts of the four distinct vectors
+        # (z1, z2 and the semi-nulls' x2, y1) and one union per model
+        assert calls == {"_parts": 4, "_in_union": 3, "decide_z": 0, "mc_estimate": 1}
 
     def test_mc_power_decides_each_replication_once(self, monkeypatch, mc_cfg):
-        # blocked: many decide_z calls, but one decision per replication
-        # on the alternative and on each semi-null
-        sizes = []
-        decide_z = Procedure.decide_z
+        # blocked: many calls, but per replication the parts of four
+        # vectors and one union decision per model
+        parts_sizes, union_sizes = [], []
+        parts, in_union = Procedure._parts, Procedure._in_union
 
-        def recorded(self, z1, z2):
-            sizes.append(z1.size)
-            return decide_z(self, z1, z2)
-        monkeypatch.setattr(Procedure, "decide_z", recorded)
+        def recorded_parts(self, k, z):
+            parts_sizes.append(z.size)
+            return parts(self, k, z)
+
+        def recorded_union(self, p1, p2, spare=None):
+            union_sizes.append(p1[0].size)
+            return in_union(self, p1, p2, spare)
+        monkeypatch.setattr(Procedure, "_parts", recorded_parts)
+        monkeypatch.setattr(Procedure, "_in_union", recorded_union)
         mc_power(hommel(ALPHA), AlternativeModel(-2.0, -2.5), mc_cfg)
-        assert mc_cfg.reps == 1_000_000 and sum(sizes) == 3 * mc_cfg.reps
+        assert mc_cfg.reps == 1_000_000
+        assert sum(parts_sizes) == 4 * mc_cfg.reps
+        assert sum(union_sizes) == 3 * mc_cfg.reps
 
-    def test_mc_power_keeps_no_full_length_array(self, mc_cfg):
+    def test_mc_power_keeps_no_full_length_array(self, mc_cfg, quad_cfg, monkeypatch):
         # with the draws cached, one call's peak stays below one float64
         # array of reps values: the engine keeps per-block counts only
         rule, model = hommel(ALPHA), AlternativeModel(-2.0, -2.5)
@@ -244,6 +253,48 @@ class TestEvaluatePower:
         finally:
             tracemalloc.stop()
         assert mc_cfg.reps == 1_000_000 and peak < 8 * 2**20
+        # an omt rule keeps each vector's exponential and w_one term, and
+        # at most two vectors' parts per block; two workers, so that the
+        # peak does not depend on the machine's CPU count
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 2)
+        combo = build_omt(measure_spec("pi_combo", model, ALPHA), quad_cfg)
+        mc_power(combo, model, mc_cfg)
+        tracemalloc.start()
+        try:
+            mc_power(combo, model, mc_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_semi_nulls_get_the_alternatives_arrays(self, monkeypatch):
+        # mc_power forms each vector's parts once because mc_estimate passes
+        # one array per distinct vector: semi-null 1's x1 is z1 and
+        # semi-null 2's y2 is z2, with or without correlation or a first shift
+        same = []
+        mc_estimate = omt2.power_design.mc_estimate
+
+        def checked(event, models, cfg):
+            def ev(z1, z2, x1, x2, y1, y2):
+                same.append((x1 is z1, y2 is z2))
+                return event(z1, z2, x1, x2, y1, y2)
+            return mc_estimate(ev, models, cfg)
+        monkeypatch.setattr(omt2.power_design, "mc_estimate", checked)
+        for model in (AlternativeModel(-2.0, -2.5), AlternativeModel(-2.0, -2.5, 0.5),
+                      AlternativeModel(0.0, -2.5)):
+            mc_power(hommel(ALPHA), model, McConfig(reps=70_001, seed=5))
+        assert set(same) == {(True, True)}
+
+    def test_mc_power_agrees_at_a_large_shift(self, quad_cfg):
+        # theta1 = -40: on semi-null 1, e1 overflows where e2 underflows;
+        # those scores are recomputed, not left NaN, with no warning
+        spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-40.0, -2.0), ALPHA)
+        rule = build_omt(spec, quad_cfg)
+        rep = evaluate_power(rule, spec.model, quad_cfg)
+        est = mc_power(rule, spec.model, McConfig(reps=100_000, seed=3))
+        for m in ("pi_avg", "pi_any", "pi_1", "pi_combo"):
+            mean, se = est[m]
+            assert abs(rep.get(m) - mean) <= 3 * se + 1e-12, m
 
     def test_mc_power_repeats_on_cached_draws(self, quad_cfg):
         spec = ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.0, -2.5), ALPHA)
@@ -263,7 +314,7 @@ class TestMcPowerOnePass:
     over one draw; its means are those of three separate passes and its
     SEs are exact."""
 
-    CFG = McConfig(reps=70_001, seed=606)    # three blocks, the last short
+    CFG = McConfig(reps=70_001, seed=606)    # two blocks, the last short
 
     @pytest.fixture(scope="class")
     def cases(self, quad_cfg):
@@ -335,23 +386,61 @@ class TestMcPowerOnePass:
 
     @pytest.mark.parametrize("case", ["hommel", "hommel-rho0.5"])
     def test_each_model_sees_its_formula(self, case, cases, monkeypatch):
-        # one worker: the blocks come in order, each deciding the
-        # alternative, then semi-null 1, then semi-null 2
+        # one worker: the blocks come in order, each forming the parts of
+        # z2, y1, z1 and x2, then deciding semi-null 2 on (y1, z2), the
+        # alternative on (z1, z2) and semi-null 1 on (z1, x2)
         monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 1)
-        seen = []
-        decide_z = Procedure.decide_z
+        formed, pairs = {}, []
+        parts, in_union = Procedure._parts, Procedure._in_union
 
-        def recorded(self, z1, z2):
-            seen.append((z1, z2))
-            return decide_z(self, z1, z2)
-        monkeypatch.setattr(Procedure, "decide_z", recorded)
+        def recorded_parts(self, k, z):
+            p = parts(self, k, z)
+            formed[id(p)] = (p, k, z)     # p kept alive, so its id stays unique
+            return p
+
+        def recorded_union(self, p1, p2, spare=None):
+            pairs.append((formed[id(p1)][1:], formed[id(p2)][1:]))
+            return in_union(self, p1, p2, spare)
+        monkeypatch.setattr(Procedure, "_parts", recorded_parts)
+        monkeypatch.setattr(Procedure, "_in_union", recorded_union)
         rule, model = cases[case]
         mc_power(rule, model, self.CFG)
-        assert len(seen) == 3 * 3
+        blocks = -(-self.CFG.reps // omt2.numerics._BLOCK)
+        assert len(formed) == 4 * blocks and len(pairs) == 3 * blocks
         zz1, zz2 = whole_draws(self.CFG)
-        for k, m in enumerate((model, *semi_nulls(model))):
-            for z, want in zip(zip(*seen[k::3]), shifted(m, zz1, zz2)):
-                assert np.array_equal(np.concatenate(z), want), (m, k)
+        semi1, semi2 = semi_nulls(model)
+        for k, m in enumerate((semi2, model, semi1)):
+            for c, want in enumerate(shifted(m, zz1, zz2)):
+                assert all(pair[c][0] == c + 1 for pair in pairs[k::3])
+                got = np.concatenate([pair[c][1] for pair in pairs[k::3]])
+                assert np.array_equal(got, want), (m, k, c)
+
+
+class TestMcPowerBits:
+    """Every `mc_power` mean and SE, pinned bit for bit by one digest of
+    their reprs: each builtin kind and five omt weight sets, on models with
+    and without correlation and with a zero first shift, at two seeds of
+    two blocks each."""
+
+    WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+               (1.0 / 3.0, 0.0, 2.0 / 3.0), (0.2, 0.3, 0.5)]
+
+    def test_digest(self, quad_cfg):
+        spec_model = AlternativeModel(-2.0, -2.5)
+        rules = [bonferroni(ALPHA), hommel(ALPHA), closed_stouffer(ALPHA),
+                 build_bittman(ALPHA, quad_cfg), fixed_sequence(ALPHA)]
+        rules += [build_omt(ObjectiveSpec(*w, spec_model, ALPHA), quad_cfg)
+                  for w in self.WEIGHTS]
+        models = [AlternativeModel(t1, -2.5, rho) for t1 in (-2.0, 0.0)
+                  for rho in (0.0, 0.5)]
+        digest = hashlib.sha256()
+        for seed in (3, 4):
+            cfg = McConfig(reps=70_001, seed=seed)
+            for rule in rules:
+                for model in models:
+                    digest.update(repr(mc_power(rule, model, cfg)).encode())
+        assert digest.hexdigest() == (
+            "007b5b0a574c65769ea48d36328bfe3e41b2c4092edeba6037477afe79cc5117")
 
 
 class TestQuadratureMcAgreement:
