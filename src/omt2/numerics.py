@@ -41,17 +41,16 @@ lives only for the call: no thread starts at import or outlives a call.
 Only the latest draw is memoized, and a new draw drops it before it is
 made, so one draw is alive at a time.
 `mc_estimate` takes a tuple of models, all shifts of the one draw, and
-calls the event once per block with one (z1, z2) pair per model, one
-array per distinct shifted vector (models with equal shifts get the same
-array, so an event can form each vector's work once), possibly at the
-same time as other blocks and in any order, so it must be a pure
-elementwise function: value k may depend only on replication k's
-pairs.  It returns a tuple of bool arrays, and `mc_estimate` the
-exact number of True values in each, so no full-length array is kept
-(`mc_power` gets each measure's exact sums of x and x^2 from such counts
-by inclusion-exclusion).  The draws of a block are a pure function of
-(seed, reps, block), and integer addition is exact, so no count can
-depend on the block size, the worker count or the finishing order.
+calls the event once per block with one (z1, z2) pair per model,
+possibly at the same time as other blocks and in any order, so the
+event must be a pure elementwise function: value k may depend only on
+replication k's pairs.  The event returns a tuple of bool arrays, and
+`mc_estimate` the exact number of True values in each, so no full-length
+array is kept (`mc_power` gets each measure's exact sums of x and x^2
+from such counts by inclusion-exclusion).  The draws of a block are a
+pure function of (seed, reps, block), and integer addition is exact, so
+no count can depend on the block size, the worker count or the finishing
+order.
 """
 
 from __future__ import annotations
@@ -96,7 +95,12 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel layout for deterministic Gauss-Legendre quadrature."""
+    """Panel layout for deterministic Gauss-Legendre quadrature.
+
+    ``abs_tol`` bounds no integral.  The threshold solves stop at a null
+    mass within min(abs_tol, 1e-10) of alpha (omt also within 0.01 * alpha),
+    1e-10 at all three CLI profiles, and `build_omt` checks its residual.
+    """
 
     panels_per_axis: int = 24
     nodes_per_panel: int = 16
@@ -351,10 +355,9 @@ def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
     """Exact count of True values in each array of ``event(z1_a, z2_a, ...)``.
 
     Model m shifts the one draw to z1 = theta1 + Z1 and z2 = theta2 +
-    rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model: a block
-    forms each distinct shifted vector once and passes that one array to
-    every model that shares it, and passes the draw itself for a zero
-    shift (the draws are never +-0, so 0.0 + b is b).  It is
+    rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model, each
+    model's own arrays, and the draw itself for a zero shift (the draws
+    are never +-0, so 0.0 + b is b).  It is
     called once per block of ``_BLOCK`` replications, on one thread per
     CPU and in any order, and returns a tuple of bool arrays (any other
     dtype raises DomainError).  The block counts are added as Python ints,
@@ -362,14 +365,11 @@ def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
     finishing order; deterministic for fixed (seed, reps).
     """
     zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
-    firsts = {m.theta1 for m in models}
-    seconds = {(m.theta2, m.rho) for m in models}
 
     def block(lo: int) -> list[int]:
         b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
-        z1 = {t1: b1 if t1 == 0.0 else t1 + b1 for t1 in firsts}
-        z2 = {key: _second(*key, b1, b2) for key in seconds}
-        out = event(*(z for m in models for z in (z1[m.theta1], z2[m.theta2, m.rho])))
+        out = event(*(z for m in models for z in (
+            b1 if m.theta1 == 0.0 else m.theta1 + b1, _second(m.theta2, m.rho, b1, b2))))
         if any(np.shape(a) != b1.shape or a.dtype != np.bool_ for a in out):
             raise DomainError("event must return a tuple of bool arrays, "
                               "one value per replication")

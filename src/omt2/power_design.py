@@ -117,9 +117,7 @@ def observed_pvalue(events_control: int, n_control: int,
     if pc in (0.0, 1.0) or pt in (0.0, 1.0):
         raise DegenerateVariance("observed proportion of 0 or 1 leaves the "
                                  "z-statistic undefined")
-    var = pc * (1 - pc) / n_control + pt * (1 - pt) / n_treat
-    z = (pt - pc) / math.sqrt(var)
-    return float(std_normal_cdf(z))
+    return std_normal_cdf(theta_from_design(TwoArmDesign(pc, pt, n_control, n_treat)))
 
 
 def theta_from_marginal_power(beta: float, alpha: float) -> float:
@@ -189,19 +187,19 @@ def mc_power(proc: Procedure, model: AlternativeModel,
     """Monte Carlo oracle for the same four measures: (mean, SE) each.
 
     One `mc_estimate` pass decides the alternative and both semi-nulls on
-    the same draws (s_k is semi-null k's decision).  The three models use
-    four distinct vectors, since semi-null 1 shares z1 and semi-null 2
-    shares z2, so each block forms the rule's per-coordinate parts
+    the same draws (s_k is semi-null k's decision): it takes the semi-null
+    models (theta1, 0, rho) and (0, theta2, rho), whose z1 and z2 are the
+    alternative's own.  Each block forms the rule's per-coordinate parts
     (`Procedure._parts`) once per vector, and each model's union once;
     a semi-null forms only the decision it reports.  Each measure's value,
     any, (d1 + d2)/2, (s1 + s2)/2 or (any + s1 + s2)/3, sums k indicators
     over k, so its S1 adds their counts and S2 = S1 + 2 * their overlaps'
     counts (x^2 = x for a bool): each SE is exact, covariance included.
     """
-    def event(z1, z2, x1, x2, y1, y2):
-        # one array per distinct vector (x1 is z1, y2 is z2): each vector's
-        # parts are formed once, at most two vectors' parts are alive at a
-        # time, and the last pair that reads a part may write over it
+    def event(z1, x2, y1, z2):
+        # (z1, z2) is the alternative: each vector's parts are formed once,
+        # at most two vectors' parts are alive at a time, and the last pair
+        # that reads a part may write over it
         p2 = proc._parts(2, z2)
         s2 = p2[0] & proc._in_union(proc._parts(1, y1), p2, spare=1)
         p1 = proc._parts(1, z1)
@@ -211,7 +209,7 @@ def mc_power(proc: Procedure, model: AlternativeModel,
         s1 = p1[0] & proc._in_union(p1, proc._parts(2, x2), spare=2)
         return (hit := d1 | d2), d1, d2, s1, s2, s1 & s2, hit & s1, hit & s2
 
-    models = (model, _semi_null(model, 1), _semi_null(model, 2))
+    models = (_semi_null(model, 1), _semi_null(model, 2))
     hit, d1, d2, s1, s2, s12, hit_s1, hit_s2 = mc_estimate(event, models, cfg)
     n = cfg.reps
     means = _measures(hit / n, 0.5 * ((d1 + d2) / n), s1 / n, s2 / n)

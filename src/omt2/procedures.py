@@ -339,7 +339,7 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
     """
     a = check_alpha(alpha)
     cfg = cfg or QuadratureConfig()
-    lo = math.sqrt(2.0) * alpha_lines(a)[0]
+    lo = closed_stouffer(a).t_sum
 
     def null_mass(t: float) -> float:
         return region_mass(Procedure("bittman", a, t_sum=t), "any", None, cfg)
@@ -350,9 +350,6 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
         if hi > 40.0:
             raise ToleranceNotMet("could not bracket the z-sum threshold")
     t = bisect(lambda x: null_mass(x) - a, lo, hi, tol=min(cfg.abs_tol, 1e-10))
-    if t < lo - 1e-9:
-        raise ToleranceNotMet("solved z-sum threshold fell below the "
-                              "closed-Stouffer value")
     return Procedure("bittman", a, t_sum=t)
 
 
@@ -504,14 +501,15 @@ def export_region(proc: Procedure, grid_size: int,
     """Classify decisions at the centers of a grid_size^2 z-grid.
 
     The nearest interior edges are snapped onto z = quantile(alpha) and
-    z = quantile(alpha/2) so cells never straddle those rule
-    boundaries.  grid_size lies in [16, MAX_GRID = 4096]: the call's
-    arrays take about 50 bytes per cell for an omt rule, a peak of
-    816 MiB at the bound.
+    z = quantile(alpha/2) so cells never straddle those rule boundaries.
+    z_hi - z_lo must be positive and finite; grid_size lies in [16,
+    MAX_GRID = 4096]: the call's arrays take about 50 bytes per cell for
+    an omt rule, a peak of 816 MiB at the bound.
     """
     grid_size = check_count("grid_size", grid_size, 16, MAX_GRID + 1)
-    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_hi > z_lo):
-        raise DomainError("z_lo and z_hi must be finite with z_hi > z_lo")
+    if not 0.0 < z_hi - z_lo < math.inf:
+        raise DomainError(f"z_hi - z_lo must be positive and finite, "
+                          f"got [{z_lo}, {z_hi}]")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)
     for line in alpha_lines(proc.alpha):
         if z_lo < line < z_hi:

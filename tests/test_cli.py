@@ -528,6 +528,17 @@ class TestInputBounds:
         assert capsys.readouterr().err == (
             f"configuration error: grid_size must be an integer in [16, 4096], got {grid}\n")
 
+    def test_region_range_width_overflows(self, capsys):
+        argv = ["region", "--proc", "hommel", "--grid", "16", "--out", "-"]
+        assert run(argv + ["--z-lo=-1e308", "--z-hi=1e308"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "configuration error: z_hi - z_lo must be positive and finite, "
+            "got [-1e+308, 1e+308]\n")
+        code, out = run(argv + ["--z-lo=-1e300", "--z-hi=1e300"])
+        assert code == 0 and out.count("\n") == 1 + 1 + 16 * 16 + 2
+        assert out.endswith("cells: none=64 only1=64 only2=64 both=64\n")
+        assert capsys.readouterr().err == ""
+
     def test_mc_reps_above_bound(self, capsys):
         argv = ["power", "--proc", "hommel", "--theta1", "-2", "--theta2", "-2", "--mc"]
         assert run(argv + ["--reps", str(2**26 + 1)]) == (2, "")

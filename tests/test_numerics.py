@@ -397,8 +397,7 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("rho", [0.0, 0.6])
     def test_models_share_one_draw(self, block, rho, fresh_draws, monkeypatch):
         # an alternative and its two semi-nulls in one call: each pair is
-        # its model's full formula, bit for bit, and a block forms each
-        # distinct shifted vector once
+        # its model's full formula, bit for bit
         if block is not None:
             monkeypatch.setattr(omt2.numerics, "_BLOCK", block)
         cfg = McConfig(reps=20_001, seed=99)
@@ -413,7 +412,6 @@ class TestBlockedEngine:
         seen = []
         mc_estimate(lambda *zs: seen.append(zs) or ev(*zs), models, cfg)
         for zs in seen:
-            assert zs[2] is zs[0] and zs[5] is zs[1]
             assert zs[4].base is zz1 and (zs[3].base is zz2) == (rho == 0.0)
         seen.sort(key=lambda zs: zs[4].ctypes.data)    # block order
         zz1, zz2 = whole_draws(cfg)

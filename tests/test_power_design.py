@@ -267,23 +267,22 @@ class TestEvaluatePower:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_semi_nulls_get_the_alternatives_arrays(self, monkeypatch):
-        # mc_power forms each vector's parts once because mc_estimate passes
-        # one array per distinct vector: semi-null 1's x1 is z1 and
-        # semi-null 2's y2 is z2, with or without correlation or a first shift
-        same = []
+    @pytest.mark.parametrize("theta1, rho", [(-2.0, 0.0), (-2.0, 0.5), (0.0, 0.0),
+                                             (0.0, 0.5)])
+    def test_mc_power_passes_the_two_semi_nulls(self, theta1, rho, monkeypatch):
+        # the alternative's arrays are semi-null 1's z1 and semi-null 2's z2,
+        # so mc_power asks for the two semi-null models alone, in one call
+        calls = []
         mc_estimate = omt2.power_design.mc_estimate
 
-        def checked(event, models, cfg):
-            def ev(z1, z2, x1, x2, y1, y2):
-                same.append((x1 is z1, y2 is z2))
-                return event(z1, z2, x1, x2, y1, y2)
-            return mc_estimate(ev, models, cfg)
-        monkeypatch.setattr(omt2.power_design, "mc_estimate", checked)
-        for model in (AlternativeModel(-2.0, -2.5), AlternativeModel(-2.0, -2.5, 0.5),
-                      AlternativeModel(0.0, -2.5)):
-            mc_power(hommel(ALPHA), model, McConfig(reps=70_001, seed=5))
-        assert set(same) == {(True, True)}
+        def recorded(event, models, cfg):
+            calls.append(models)
+            return mc_estimate(event, models, cfg)
+        monkeypatch.setattr(omt2.power_design, "mc_estimate", recorded)
+        mc_power(hommel(ALPHA), AlternativeModel(theta1, -2.5, rho),
+                 McConfig(reps=10_000, seed=5))
+        assert calls == [(AlternativeModel(theta1, 0.0, rho),
+                          AlternativeModel(0.0, -2.5, rho))]
 
     def test_mc_power_agrees_at_a_large_shift(self, quad_cfg):
         # theta1 = -40: on semi-null 1, e1 overflows where e2 underflows;

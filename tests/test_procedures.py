@@ -804,8 +804,10 @@ class TestRegionExport:
         with pytest.raises(DomainError):
             export_region(hommel(ALPHA), grid_size)
 
+    # (-1e308, 1e308): each end finite, but the width overflows
     @pytest.mark.parametrize("z_lo,z_hi", [(-4.0, math.inf), (-math.inf, 0.0),
-                                           (math.nan, 0.0), (0.0, -1.0)])
+                                           (math.nan, 0.0), (0.0, -1.0),
+                                           (-1e308, 1e308)])
     def test_z_range_must_be_finite_and_ordered(self, z_lo, z_hi):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^z_hi - z_lo must be positive and finite"):
             export_region(hommel(ALPHA), 16, z_lo, z_hi)
