@@ -42,7 +42,8 @@ from .errors import DomainError, ToleranceNotMet
 from .gauss import (AlternativeModel, alpha_lines, check_alpha,
                     clamp_pvalue, std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, check_count, panel_nodes
-from .objective import ObjectiveSpec, score_pair, score_parts, score_pieces, score_z
+from .objective import (ObjectiveSpec, _lr_z, score_pair, score_parts,
+                        score_pieces, score_z)
 
 __all__ = [
     "Decision", "Procedure", "bonferroni", "hommel", "closed_stouffer",
@@ -99,12 +100,10 @@ class Procedure:
 
     # -- scalar decisions ------------------------------------------------
     def decide(self, p: tuple[float, float]) -> Decision:
-        p1 = clamp_pvalue(p[0])
-        p2 = clamp_pvalue(p[1])
-        z1 = std_normal_quantile(p1)
-        z2 = std_normal_quantile(p2)
-        d1, d2 = self.decide_z(np.array([z1]), np.array([z2]))
-        return Decision(bool(d1[0]), bool(d2[0]))
+        z1 = std_normal_quantile(clamp_pvalue(p[0]))
+        z2 = std_normal_quantile(clamp_pvalue(p[1]))
+        d1, d2 = self.decide_z(z1, z2)
+        return Decision(bool(d1), bool(d2))
 
     # -- rule geometry: each kind's marginal level and union region U -------
     def _level(self) -> float:
@@ -357,12 +356,24 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
 # OMT construction: score threshold solved on the null
 # ----------------------------------------------------------------------
 
+# math.exp overflows above this exponent
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 @functools.lru_cache(maxsize=16)
-def _piece_columns(spec: ObjectiveSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`score_pieces` as three (3, 1) coefficient columns c_g, c_1, c_2."""
-    cols = np.array(score_pieces(spec)).T[:, :, None]
+def _omt_geometry(spec: ObjectiveSpec) -> tuple:
+    """What the omt column cuts and kinks read of a spec: (theta1, theta2,
+    za, ea2 = exp(theta2*za - theta2^2/2), the `score_pieces` rows, and
+    the rows as three read-only (3, 1) coefficient columns c_g, c_1, c_2).
+    ea2 is inf where its exponent passes `_LOG_MAX` (za^2/2 can, for a
+    subnormal alpha)."""
+    t1, t2 = spec.model.theta1, spec.model.theta2
+    za = alpha_lines(spec.alpha)[0]
+    f2 = t2 * za - 0.5 * t2 * t2
+    pieces = score_pieces(spec)
+    cols = np.array(pieces).T[:, :, None]
     cols.setflags(write=False)
-    return tuple(cols)
+    return t1, t2, za, math.inf if f2 > _LOG_MAX else math.exp(f2), pieces, tuple(cols)
 
 
 def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
@@ -374,17 +385,12 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     superlevel set is a single ray; columns z1 > za see only the z2
     flank and are clipped at z2 = za by `Procedure.column_cuts`.
     """
-    t1, t2 = spec.model.theta1, spec.model.theta2
-    za = alpha_lines(spec.alpha)[0]
-    ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
-    c_g, c_1, c_2 = _piece_columns(spec)
+    t1, t2, za, ea2, _, (c_g, c_1, c_2) = _omt_geometry(spec)
     z = z1.reshape(-1)
     # where e1 overflows (strong shifts, deep in the square) every top and
     # bottom value is inf or NaN, so the where chain keeps the whole column
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e1 = np.multiply(t1, z)
-        e1 -= 0.5 * t1 * t1
-        np.exp(e1, out=e1)
+        e1 = _lr_z(t1, z)
         # one row per piece against e1: s = slope*e2 + base
         slope = c_g * e1
         slope += c_2
@@ -411,14 +417,27 @@ def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
     """z1 values where the union cut changes branch: per piece of `objective`,
     where its score at z2 = za equals t; and the z1 flank's z2 -> +inf
     limit c_1*e1 = t, the singular column where the flank cut diverges."""
-    t1, t2 = spec.model.theta1, spec.model.theta2
-    za = alpha_lines(spec.alpha)[0]
-    ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
-    pieces = score_pieces(spec)
+    t1, _, _, ea2, pieces, _ = _omt_geometry(spec)
     roots = [(t - c_2 * ea2, c_g * ea2 + c_1) for c_g, c_1, c_2 in pieces]
     roots.append((t, pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
     e1s = [num / den for num, den in roots if den > 0]
     return [(math.log(e1) + 0.5 * t1 * t1) / t1 for e1 in e1s if 0.0 < e1 < math.inf]
+
+
+def _bracket_end(null_mass_log, alpha: float, tau: float, step: float) -> float:
+    """Step log t = tau by ``step`` while the null mass at tau lies on the
+    step's side of alpha (above it for step > 0).  Both sides' guard:
+    ToleranceNotMet, with no mass evaluated, once tau passes `_LOG_MAX`
+    (inf, from an overflowing corner score, does) or is NaN, or after a
+    step below -720."""
+    while tau <= _LOG_MAX:
+        if not (null_mass_log(tau) - alpha) * step > 0.0:
+            return tau
+        tau += step
+        if tau < -720.0:
+            break
+    raise ToleranceNotMet(f"threshold bracket ran away "
+                          f"({'high' if step > 0 else 'low'} side)")
 
 
 def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Procedure:
@@ -436,19 +455,14 @@ def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Proce
         return region_mass(Procedure("omt", alpha, spec=spec, t_score=math.exp(tau)),
                            "any", None, cfg)
 
-    # bracket on the log scale around the corner score value
-    za = alpha_lines(alpha)[0]
-    corner = float(score_z(spec, np.array([za]), np.array([za]))[0])
-    tau_hi = math.log(corner) if corner > 0 else 0.0
-    while null_mass_log(tau_hi) > alpha:
-        tau_hi += 20.0
-        if tau_hi > 720.0:
-            raise ToleranceNotMet("threshold bracket ran away (high side)")
-    tau_lo = (math.log(corner) if corner > 0 else 0.0) - 20.0
-    while null_mass_log(tau_lo) < alpha:
-        tau_lo -= 20.0
-        if tau_lo < -720.0:
-            raise ToleranceNotMet("threshold bracket ran away (low side)")
+    # bracket on the log scale around the corner score value; a shift whose
+    # square overflows makes it NaN, and the bracket then starts at 0
+    za = _omt_geometry(spec)[2]
+    with np.errstate(invalid="ignore"):
+        corner = float(score_z(spec, za, za))
+    log_corner = math.log(corner) if corner > 0 else 0.0
+    tau_hi = _bracket_end(null_mass_log, alpha, log_corner, 20.0)
+    tau_lo = _bracket_end(null_mass_log, alpha, log_corner - 20.0, -20.0)
 
     tol = min(cfg.abs_tol, 1e-10, 0.01 * alpha)
     tau = bisect(lambda x: null_mass_log(x) - alpha, tau_lo, tau_hi, tol=tol)
@@ -500,25 +514,25 @@ def export_region(proc: Procedure, grid_size: int,
                   z_lo: float = -4.0, z_hi: float = 0.0) -> RegionGrid:
     """Classify decisions at the centers of a grid_size^2 z-grid.
 
-    The nearest interior edges are snapped onto z = quantile(alpha) and
-    z = quantile(alpha/2) so cells never straddle those rule boundaries.
-    z_hi - z_lo must be positive and finite; grid_size lies in [16,
-    MAX_GRID = 4096]: the call's arrays take about 50 bytes per cell for
-    an omt rule, a peak of 816 MiB at the bound.
+    Each of z = quantile(alpha) and z = quantile(alpha/2) inside (z_lo,
+    z_hi) is snapped onto an interior edge of its own, the nearest one
+    unless both lines want one edge (the lower line then moves down one,
+    or the upper one up at the first edge), so cells never straddle those
+    rule boundaries.  z_hi - z_lo must be positive and finite; grid_size
+    lies in [16, MAX_GRID = 4096]: the call's arrays take about 50 bytes
+    per cell for an omt rule, a peak of 816 MiB at the bound.
     """
     grid_size = check_count("grid_size", grid_size, 16, MAX_GRID + 1)
     if not 0.0 < z_hi - z_lo < math.inf:
         raise DomainError(f"z_hi - z_lo must be positive and finite, "
                           f"got [{z_lo}, {z_hi}]")
     axis = np.linspace(z_lo, z_hi, grid_size + 1)
-    for line in alpha_lines(proc.alpha):
-        if z_lo < line < z_hi:
-            k = int(np.argmin(np.abs(axis - line)))
-            if 0 < k < grid_size:
-                axis = axis.copy()
-                axis[k] = line
+    lines = sorted(x for x in alpha_lines(proc.alpha) if z_lo < x < z_hi)
+    edges = [min(max(int(np.argmin(np.abs(axis - x))), 1), grid_size - 1)
+             for x in lines]
+    if len(edges) == 2 and edges[0] == edges[1]:
+        edges = [edges[0] - 1, edges[0]] if edges[0] > 1 else [1, 2]
+    axis[edges] = lines
     c = 0.5 * axis[:-1] + 0.5 * axis[1:]
-    z1g, z2g = np.meshgrid(c, c, indexing="ij")
-    d1, d2 = proc.decide_z(z1g.ravel(), z2g.ravel())
-    classes = (d1.astype(np.uint8) + 2 * d2.astype(np.uint8)).reshape(z1g.shape)
-    return RegionGrid(axis=axis, classes=classes)
+    d1, d2 = proc.decide_z(c[:, None], c[None, :])
+    return RegionGrid(axis=axis, classes=d1.astype(np.uint8) + 2 * d2.astype(np.uint8))

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -91,6 +93,22 @@ def whole_sample_mc_estimate(event, models, cfg):
 def bool_mean_se(count, n):
     """Mean and SE of n bool values of which count are True."""
     return count / n, math.sqrt(exact_se_squared(count, count, n))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed, so that a call that never returns fails its test instead
+    of hanging the run (SIGALRM: POSIX, main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Command-line surface: outputs, exit codes, config round-trips."""
 
 import io
+import warnings
 
 import pytest
+
+from conftest import time_limit
 
 from omt2 import (ConfigError, DegenerateVariance, DomainError, MaxIterations,
                   NoBracket, Omt2Error, ToleranceNotMet, Unachievable,
@@ -536,7 +539,9 @@ class TestInputBounds:
             "got [-1e+308, 1e+308]\n")
         code, out = run(argv + ["--z-lo=-1e300", "--z-hi=1e300"])
         assert code == 0 and out.count("\n") == 1 + 1 + 16 * 16 + 2
-        assert out.endswith("cells: none=64 only1=64 only2=64 both=64\n")
+        # both alpha lines are nearest to the edge at 0; each takes its own
+        # edge (7 and 8), so one row and one column of cells lie between them
+        assert out.endswith("cells: none=80 only1=56 only2=56 both=64\n")
         assert capsys.readouterr().err == ""
 
     def test_mc_reps_above_bound(self, capsys):
@@ -544,6 +549,34 @@ class TestInputBounds:
         assert run(argv + ["--reps", str(2**26 + 1)]) == (2, "")
         assert capsys.readouterr().err == ("configuration error: reps must be an integer "
                                            "in [10000, 67108864], got 67108865\n")
+
+
+class TestFloatEdges:
+    """Inputs that push the omt threshold solve past the float range end at
+    once with exit 3 and one line on stderr, and no numpy warning."""
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--proc", "omt", "--objective", "pi_any", "--theta1", "-30",
+         "--theta2", "-30", "--alpha", "1e-200"],
+        ["power", "--proc", "omt", "--objective", "combo", "--marginal-power", "0.85",
+         "--alpha", "1e-300"],
+        ["savings", "--measure", "pi_any", "--N", "4800", "--alpha", "1e-300"],
+        ["region", "--proc", "omt", "--objective", "pi1", "--theta1=-1e308",
+         "--theta2", "-2", "--grid", "16", "--out", "-"],
+        ["power", "--proc", "omt", "--objective", "combo", "--theta1", "-2",
+         "--theta2=-1e308"],
+        ["power", "--proc", "omt", "--objective", "combo", "--theta1=-1e308",
+         "--theta2=-2"],
+    ], ids=["corner_inf", "marginal_1e-300", "savings_1e-300", "region_theta1_max",
+            "theta2_max", "theta1_max"])
+    def test_ends_at_once_with_one_line(self, argv, capsys):
+        with time_limit(5), warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            assert run(argv) == (3, "")
+        assert [str(w.message) for w in warned] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: threshold bracket ran away")
+        assert len(err.splitlines()) == 1
 
 
 class TestNegativeValues:

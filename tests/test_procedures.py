@@ -10,14 +10,14 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 import omt2.procedures
-from conftest import bool_mean_se, lr_density, measure_spec
+from conftest import bool_mean_se, lr_density, measure_spec, time_limit
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
                   bonferroni, build_bittman, build_omt, closed_stouffer,
                   evaluate_power, export_region, fixed_sequence, fwer_global,
                   hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
                   region_mass, region_symmetric_difference, score_pieces,
-                  score_z, std_normal_quantile)
+                  score_z, std_normal_quantile, theta_from_marginal_power)
 from omt2 import numerics, power_design, procedures
 
 ALPHA = 0.025
@@ -222,6 +222,58 @@ class TestOmtConstruction:
         proc = build_omt(measure_spec("pi_combo", AlternativeModel(-2.5, -1.5),
                                       ALPHA), coarse)
         assert fwer_global(proc, 0.0, fine) == pytest.approx(ALPHA, abs=1e-6)
+
+
+class TestOmtBracketEdges:
+    """Where the corner score or log t leaves the floats, the threshold
+    solve ends at once with a typed error and no numpy warning."""
+
+    @pytest.mark.parametrize("measure,theta,alpha", [
+        ("pi_any", (-30.0, -30.0), 1e-200),    # the corner score overflows
+        ("pi_combo", "marginal 0.85", 1e-300),
+        ("pi_1", (-1e308, -2.0), ALPHA),       # theta^2/2 overflows: NaN corner
+        ("pi_combo", (-2.0, -1e308), ALPHA),
+        ("pi_combo", (-1e308, -2.0), ALPHA),
+        ("pi_combo", (-2.0, -38.0), 1e-320),   # ea2's exponent passes log(max)
+    ], ids=["corner_inf", "marginal_1e-300", "theta1_max_pi1", "theta2_max",
+            "theta1_max", "subnormal_alpha"])
+    def test_typed_error_at_once(self, measure, theta, alpha, quad_cfg):
+        if theta == "marginal 0.85":
+            theta = (theta_from_marginal_power(0.85, alpha),) * 2
+        spec = measure_spec(measure, AlternativeModel(*theta), alpha)
+        with time_limit(5), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceNotMet, match=r"^threshold bracket ran away"):
+                build_omt(spec, quad_cfg)
+
+    def test_high_side_stops_below_exp_overflow(self):
+        tried = []
+
+        def mass_above(tau):
+            tried.append(tau)
+            math.exp(tau)           # the solve's t; OverflowError above log(max)
+            return 1.0
+        with pytest.raises(ToleranceNotMet, match=r"\(high side\)$"):
+            procedures._bracket_end(mass_above, ALPHA, 650.0, 20.0)
+        assert tried == [650.0, 670.0, 690.0]
+        for start in (math.inf, math.nan):
+            with pytest.raises(ToleranceNotMet, match=r"\(high side\)$"):
+                procedures._bracket_end(mass_above, ALPHA, start, 20.0)
+        assert tried == [650.0, 670.0, 690.0]
+
+    def test_low_side_keeps_its_cap(self):
+        # the first low end is tried wherever it starts; a step below -720 ends it
+        tried = []
+
+        def mass_below(tau):
+            tried.append(tau)
+            return 0.0
+        with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
+            procedures._bracket_end(mass_below, ALPHA, -690.0, -20.0)
+        assert tried == [-690.0, -710.0]
+        with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
+            procedures._bracket_end(mass_below, ALPHA, math.inf, -20.0)
+        assert procedures._bracket_end(lambda tau: ALPHA, ALPHA, -730.0, -20.0) == -730.0
 
 
 class TestStructuralRestrictions:
@@ -767,17 +819,37 @@ class TestRegionExport:
         assert first[2] in ("none", "only1", "only2", "both")
         float(first[0]), float(first[1])
 
-    @pytest.mark.parametrize("rule", ["hommel", "omt"])
-    def test_csv_matches_per_cell_reference(self, rule, quad_cfg):
-        proc = hommel(ALPHA) if rule == "hommel" else build_omt(
+    @pytest.mark.parametrize("rule", ["bonferroni", "hommel", "closed_stouffer",
+                                      "bittman", "fixed_sequence", "omt"])
+    def test_csv_matches_per_cell_reference(self, rule, all_procedures, quad_cfg):
+        # each cell decided on its own, from two 0-d z-scores
+        proc = all_procedures[rule] if rule != "omt" else build_omt(
             ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-3.4, -2.7), ALPHA), quad_cfg)
         grid = export_region(proc, 64)
-        assert set(np.unique(grid.classes).tolist()) == {0, 1, 2, 3}
+        # fixed_sequence tests H2 only after rejecting H1: no only2 cell
+        assert set(np.unique(grid.classes).tolist()) == (
+            {0, 1, 3} if rule == "fixed_sequence" else {0, 1, 2, 3})
         c, names = grid.centers, ("none", "only1", "only2", "both")
+
+        def cell(z1, z2):
+            d1, d2 = proc.decide_z(z1, z2)
+            return names[int(d1) + 2 * int(d2)]
         want = "z1,z2,class\n" + "".join(
-            f"{c[i]:.6g},{c[j]:.6g},{names[grid.classes[i, j]]}\n"
-            for i in range(len(c)) for j in range(len(c)))
+            f"{z1:.6g},{z2:.6g},{cell(z1, z2)}\n" for z1 in c for z2 in c)
         assert grid.to_csv() == want
+
+    # (16, -8, 8): both lines are nearest to the edge at -2; (16, -40, 0) and
+    # (16, -100, -1.9): both want the last interior edge, (16, -2.25, 100)
+    # the first; (16, -2, 4) and (16, -1.98, 2): za alone, nearest to z_lo
+    @pytest.mark.parametrize("grid_size,z_lo,z_hi", [
+        (16, -8.0, 8.0), (16, -40.0, 0.0), (16, -100.0, -1.9), (16, -2.25, 100.0),
+        (16, -2.0, 4.0), (16, -1.98, 2.0), (100, -4.0, 0.0), (256, -4.0, 0.0)])
+    def test_every_alpha_line_on_its_own_edge(self, grid_size, z_lo, z_hi):
+        axis = export_region(hommel(ALPHA), grid_size, z_lo, z_hi).axis
+        assert len(axis) == grid_size + 1 and np.all(np.diff(axis) > 0)
+        for line in (ZA, ZH):
+            if z_lo < line < z_hi:
+                assert line in axis[1:-1].tolist()
 
     def test_centers_are_midpoints(self):
         grid = export_region(closed_stouffer(ALPHA), 512)
