@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -360,20 +361,25 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
+class _OmtGeometry(NamedTuple):
+    """What the omt column cuts and kinks read of a spec; cached per spec."""
+    za: float                   # quantile(alpha)
+    ea2: float                  # exp(theta2*za - theta2^2/2); inf past `_LOG_MAX`
+    pieces: tuple               # the `score_pieces` rows (c_g, c_1, c_2)
+    cols: tuple                 # the rows as read-only (3, 1) columns c_g, c_1, c_2
+
+
 @functools.lru_cache(maxsize=16)
-def _omt_geometry(spec: ObjectiveSpec) -> tuple:
-    """What the omt column cuts and kinks read of a spec: (theta1, theta2,
-    za, ea2 = exp(theta2*za - theta2^2/2), the `score_pieces` rows, and
-    the rows as three read-only (3, 1) coefficient columns c_g, c_1, c_2).
-    ea2 is inf where its exponent passes `_LOG_MAX` (za^2/2 can, for a
-    subnormal alpha)."""
-    t1, t2 = spec.model.theta1, spec.model.theta2
+def _omt_geometry(spec: ObjectiveSpec) -> _OmtGeometry:
+    """The spec's `_OmtGeometry` (ea2 can overflow for a subnormal alpha)."""
+    t2 = spec.model.theta2
     za = alpha_lines(spec.alpha)[0]
     f2 = t2 * za - 0.5 * t2 * t2
     pieces = score_pieces(spec)
     cols = np.array(pieces).T[:, :, None]
     cols.setflags(write=False)
-    return t1, t2, za, math.inf if f2 > _LOG_MAX else math.exp(f2), pieces, tuple(cols)
+    return _OmtGeometry(za, math.inf if f2 > _LOG_MAX else math.exp(f2),
+                        pieces, tuple(cols))
 
 
 def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
@@ -385,7 +391,8 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     superlevel set is a single ray; columns z1 > za see only the z2
     flank and are clipped at z2 = za by `Procedure.column_cuts`.
     """
-    t1, t2, za, ea2, _, (c_g, c_1, c_2) = _omt_geometry(spec)
+    t1, t2, geo = spec.model.theta1, spec.model.theta2, _omt_geometry(spec)
+    c_g, c_1, c_2 = geo.cols
     z = z1.reshape(-1)
     # where e1 overflows (strong shifts, deep in the square) every top and
     # bottom value is inf or NaN, so the where chain keeps the whole column
@@ -395,7 +402,7 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
         slope = c_g * e1
         slope += c_2
         base = c_1 * e1
-        top = slope[:2] * ea2
+        top = slope[:2] * geo.ea2
         top += base[:2]
         cut = np.subtract(t, base)
         cut /= slope                  # the crossing e2; e2 <= 0 or NaN: none
@@ -408,18 +415,18 @@ def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
     bottom_f1 = base[1]
     # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
     cut_low = np.where(t >= top_sq, cut_sq,
-                       np.where(t >= top_f1, za,
+                       np.where(t >= top_f1, geo.za,
                                 np.where(t > bottom_f1, cut_f1, np.inf)))
-    return np.where(z <= za, cut_low, cut_f2).reshape(z1.shape)
+    return np.where(z <= geo.za, cut_low, cut_f2).reshape(z1.shape)
 
 
 def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
     """z1 values where the union cut changes branch: per piece of `objective`,
     where its score at z2 = za equals t; and the z1 flank's z2 -> +inf
     limit c_1*e1 = t, the singular column where the flank cut diverges."""
-    t1, _, _, ea2, pieces, _ = _omt_geometry(spec)
-    roots = [(t - c_2 * ea2, c_g * ea2 + c_1) for c_g, c_1, c_2 in pieces]
-    roots.append((t, pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
+    t1, geo = spec.model.theta1, _omt_geometry(spec)
+    roots = [(t - c_2 * geo.ea2, c_g * geo.ea2 + c_1) for c_g, c_1, c_2 in geo.pieces]
+    roots.append((t, geo.pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
     e1s = [num / den for num, den in roots if den > 0]
     return [(math.log(e1) + 0.5 * t1 * t1) / t1 for e1 in e1s if 0.0 < e1 < math.inf]
 
@@ -429,12 +436,12 @@ def _bracket_end(null_mass_log, alpha: float, tau: float, step: float) -> float:
     step's side of alpha (above it for step > 0).  Both sides' guard:
     ToleranceNotMet, with no mass evaluated, once tau passes `_LOG_MAX`
     (inf, from an overflowing corner score, does) or is NaN, or after a
-    step below -720."""
+    step down below -720."""
     while tau <= _LOG_MAX:
         if not (null_mass_log(tau) - alpha) * step > 0.0:
             return tau
         tau += step
-        if tau < -720.0:
+        if step < 0 and tau < -720.0:
             break
     raise ToleranceNotMet(f"threshold bracket ran away "
                           f"({'high' if step > 0 else 'low'} side)")
@@ -457,7 +464,7 @@ def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Proce
 
     # bracket on the log scale around the corner score value; a shift whose
     # square overflows makes it NaN, and the bracket then starts at 0
-    za = _omt_geometry(spec)[2]
+    za = alpha_lines(alpha)[0]
     with np.errstate(invalid="ignore"):
         corner = float(score_z(spec, za, za))
     log_corner = math.log(corner) if corner > 0 else 0.0

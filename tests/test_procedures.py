@@ -275,6 +275,24 @@ class TestOmtBracketEdges:
             procedures._bracket_end(mass_below, ALPHA, math.inf, -20.0)
         assert procedures._bracket_end(lambda tau: ALPHA, ALPHA, -730.0, -20.0) == -730.0
 
+    def test_high_side_steps_up_from_a_subnormal_corner(self):
+        # log t below -720 is in range; only a step down there ends the bracket
+        tried = []
+
+        def mass(tau):
+            tried.append(tau)
+            return 1.0 if tau < -730.0 else 0.0
+        assert procedures._bracket_end(mass, ALPHA, -741.0, 20.0) == -721.0
+        assert tried == [-741.0, -721.0]
+
+    def test_subnormal_corner_runs_away_on_the_low_side(self, quad_cfg):
+        # the corner score is about e^-741.4 with null mass above alpha there:
+        # the high end steps up to about -721, and the low end runs away
+        spec = measure_spec("pi_1", AlternativeModel(-40.5, -40.5), ALPHA)
+        with time_limit(5):
+            with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
+                build_omt(spec, quad_cfg)
+
 
 class TestStructuralRestrictions:
     def test_marginal_nominality(self, all_procedures, rng):
