@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateVariance, DomainError,
 from .gauss import AlternativeModel, std_normal_cdf, std_normal_quantile
 from .numerics import (McConfig, QuadratureConfig, bisect, mc_estimate,
                        normal_pairs)
-from .objective import ObjectiveSpec, score_pieces, score_z
+from .objective import ObjectiveSpec, score_z
 from .procedures import (Decision, Procedure, RegionGrid, bonferroni,
                          build_bittman, build_omt, closed_stouffer,
                          export_region, fixed_sequence, hommel,

@@ -118,6 +118,8 @@ def read_config_file(path: str, known: dict[str, tuple[type, object]]) -> dict:
             continue
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         typ = known[key][0]
         try:
             out[key] = _BOOLS[val.lower()] if typ is bool else typ(val)

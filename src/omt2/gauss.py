@@ -36,6 +36,9 @@ __all__ = [
 # Types accepted as real numbers: Python's and numpy's scalars
 REAL_TYPES = (float, int, np.floating, np.integer)
 
+# Largest argument of math.exp that does not overflow
+LOG_MAX = math.log(np.finfo(float).max)
+
 # Smallest p-value accepted by decision rules before transforming to a
 # z-score; values below are clamped (densities on the open square only).
 P_CLAMP_MIN = 1e-300

@@ -28,11 +28,17 @@ rule exactly).  Scores are supported on the L-shaped domain
 
 In z-space, with e_i = exp(theta_i*z_i - theta_i^2/2), the score on each
 piece of the L-shaped domain is s = c_g*e1*e2 + c_1*e1 + c_2*e2, with
-(c_g, c_1, c_2) from `score_pieces`; the omt cuts and kinks use them:
+the rows (c_g, c_1, c_2) of ``ObjectiveSpec.pieces``:
 
     square   (z1, z2 <= za):  (w_any + w_avg,   w_one/2, w_one/2)
     z1 flank (z1 <= za < z2): (w_any + w_avg/2, w_one/2, 0)
     z2 flank (z2 <= za < z1): (w_any + w_avg/2, 0,       w_one/2)
+
+The score has both its forms here: pointwise, `score_parts` and
+`score_pair` (under `score_z`) for decisions and Monte Carlo runs; per
+column, `score_cut` (the ray of z2 where s > t) and `score_kinks` (the
+z1 values where it changes branch) for the quadrature.  The pieces, za
+and e2 at z2 = za live on the spec, derived once.
 
 Scores are only defined for independent p-values (rho = 0); requesting
 one for a correlated model raises UnsupportedModel.
@@ -40,14 +46,15 @@ one for a correlated model raises UnsupportedModel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedModel
-from .gauss import REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
+from .gauss import LOG_MAX, REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
 
-__all__ = ["ObjectiveSpec", "score_z", "score_pieces"]
+__all__ = ["ObjectiveSpec", "score_z", "score_cut", "score_kinks"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -60,6 +67,12 @@ class ObjectiveSpec:
     as Python floats, so a numpy weight gives the same arithmetic.  Both
     shifts must be strictly negative (theta = 0 is the boundary null and
     gives a degenerate score) and alpha must lie in (0, 0.5].
+
+    The score's geometry is derived once, and left out of equality, hash
+    and repr: ``za`` = quantile(alpha), ``ea2`` = exp(theta2*za -
+    theta2^2/2) (inf past `LOG_MAX`, for a subnormal alpha), ``pieces``
+    = the rows (c_g, c_1, c_2) of the square, z1 flank and z2 flank, and
+    ``cols`` = a read-only (3, 3, 1) array of their columns c_g, c_1, c_2.
     """
 
     w_any: float
@@ -67,6 +80,10 @@ class ObjectiveSpec:
     w_one: float
     model: AlternativeModel
     alpha: float
+    za: float = field(init=False, repr=False, compare=False)
+    ea2: float = field(init=False, repr=False, compare=False)
+    pieces: tuple = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = (self.w_any, self.w_avg, self.w_one)
@@ -82,6 +99,19 @@ class ObjectiveSpec:
             raise DomainError(
                 "score alternatives need strictly negative shifts, got "
                 f"({self.model.theta1}, {self.model.theta2})")
+        w_any, w_avg, w_one = self.weights
+        t2, za = self.model.theta2, alpha_lines(self.alpha)[0]
+        f2 = t2 * za - 0.5 * t2 * t2
+        half_one, flank_g = w_one / 2.0, w_any + w_avg / 2.0
+        pieces = ((w_any + w_avg, half_one, half_one),
+                  (flank_g, half_one, 0.0),
+                  (flank_g, 0.0, half_one))
+        # one small array that owns its data: a spec is kept by every rule
+        cols = np.array(pieces).T[:, :, None].copy()
+        cols.setflags(write=False)
+        for name, v in (("za", za), ("pieces", pieces), ("cols", cols),
+                        ("ea2", math.inf if f2 > LOG_MAX else math.exp(f2))):
+            object.__setattr__(self, name, v)
 
     @property
     def weights(self) -> tuple[float, float, float]:
@@ -114,7 +144,7 @@ def score_parts(spec: ObjectiveSpec, k: int, z) -> tuple:
     _require_independent(spec)
     z = np.asarray(z, dtype=float)
     w_any, w_avg, w_one = spec.weights
-    ind = z <= alpha_lines(spec.alpha)[0]
+    ind = z <= spec.za
     with np.errstate(over="ignore"):
         e = _lr_z((spec.model.theta1, spec.model.theta2)[k - 1], z)
         one = None
@@ -185,7 +215,7 @@ def score_pair(spec: ObjectiveSpec, p1: tuple, p2: tuple,
 def _score_exact(spec: ObjectiveSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """The score with no inf*0 in it: g = exp(f1 + f2) from the exponents
     f_k, and each indicator selects its terms instead of multiplying them."""
-    za = alpha_lines(spec.alpha)[0]
+    za = spec.za
     w_any, w_avg, w_one = spec.weights
     t1, t2 = spec.model.theta1, spec.model.theta2
     f1, f2 = t1 * z1 - 0.5 * t1 * t1, t2 * z2 - 0.5 * t2 * t2
@@ -214,9 +244,50 @@ def score_z(spec: ObjectiveSpec, z1, z2):
     return s.reshape(shape) if shape else s[0]
 
 
-def score_pieces(spec: ObjectiveSpec) -> tuple[tuple[float, float, float], ...]:
-    """Coefficients (c_g, c_1, c_2) of the square, z1 flank and z2 flank."""
-    w_any, w_avg, w_one = spec.weights
-    return ((w_any + w_avg, w_one / 2.0, w_one / 2.0),
-            (w_any + w_avg / 2.0, w_one / 2.0, 0.0),
-            (w_any + w_avg / 2.0, 0.0, w_one / 2.0))
+def score_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
+    """Column cut of {s > t} within the L-shaped domain.
+
+    Along a column each piece's score is affine in e2, so its crossing
+    is closed-form.  For z1 <= za the score drops at z2 = za, where the
+    square gives way to the z1 flank, so the superlevel set is a single
+    ray; columns z1 > za see only the z2 flank and are clipped at z2 = za
+    by `Procedure.column_cuts`.
+    """
+    t1, t2 = spec.model.theta1, spec.model.theta2
+    c_g, c_1, c_2 = spec.cols
+    z = z1.reshape(-1)
+    # where e1 overflows (strong shifts, deep in the square) every top and
+    # bottom value is inf or NaN, so the where chain keeps the whole column
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e1 = _lr_z(t1, z)
+        # one row per piece against e1: s = slope*e2 + base
+        slope = c_g * e1
+        slope += c_2
+        base = c_1 * e1
+        top = slope[:2] * spec.ea2
+        top += base[:2]
+        cut = np.subtract(t, base)
+        cut /= slope                  # the crossing e2; e2 <= 0 or NaN: none
+        cut[~(cut > 0)] = 1.0
+        np.log(cut, out=cut)
+        cut += 0.5 * t2 * t2
+        cut /= t2
+    cut_sq, cut_f1, cut_f2 = cut
+    top_sq, top_f1 = top
+    bottom_f1 = base[1]
+    # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
+    cut_low = np.where(t >= top_sq, cut_sq,
+                       np.where(t >= top_f1, spec.za,
+                                np.where(t > bottom_f1, cut_f1, np.inf)))
+    return np.where(z <= spec.za, cut_low, cut_f2).reshape(z1.shape)
+
+
+def score_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
+    """z1 values where `score_cut` changes branch: per piece, where its
+    score at z2 = za equals t; and the z1 flank's z2 -> +inf limit
+    c_1*e1 = t, the singular column where the flank cut diverges."""
+    t1, ea2 = spec.model.theta1, spec.ea2
+    roots = [(t - c_2 * ea2, c_g * ea2 + c_1) for c_g, c_1, c_2 in spec.pieces]
+    roots.append((t, spec.pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
+    e1s = [num / den for num, den in roots if den > 0]
+    return [(math.log(e1) + 0.5 * t1 * t1) / t1 for e1 in e1s if 0.0 < e1 < math.inf]

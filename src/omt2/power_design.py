@@ -27,7 +27,7 @@ from .gauss import (REAL_TYPES, AlternativeModel, alpha_lines, check_alpha,
                     std_normal_cdf, std_normal_quantile)
 from .numerics import McConfig, QuadratureConfig, check_count, mc_estimate
 from .objective import ObjectiveSpec
-from .procedures import Procedure, build_omt, hommel, region_mass
+from .procedures import MAX_SHIFT, Procedure, build_omt, hommel, region_mass
 
 __all__ = [
     "PowerReport", "TwoArmDesign", "AllocationResult", "SavingsReport",
@@ -349,9 +349,18 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     size, finds the smallest N at which the baseline matches it under
     the same exchangeable calibration theta_of_n, and reports the
     relative saving (N_required - n_reference) / N_required * 100.
+    Both sizes are at least 4, the search's floor, and the shift at
+    n_cap must lie inside the quadrature's (-MAX_SHIFT, MAX_SHIFT).
     """
-    n_reference = check_count("n_reference", n_reference, 1)
-    n_cap = check_count("n_cap", n_cap, 1)
+    n_reference = check_count("n_reference", n_reference, 4)
+    n_cap = check_count("n_cap", n_cap, 4)
+    try:
+        th_cap = theta_of_n(n_cap)
+    except OverflowError:       # an n_cap past the float range
+        th_cap = -math.inf
+    if not abs(th_cap) < MAX_SHIFT:
+        raise DomainError(f"n_cap = {n_cap} implies the shift {th_cap:.6g}, outside "
+                          f"(-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f})")
     cfg = cfg or QuadratureConfig()
     baseline = hommel(alpha)
     th_ref = theta_of_n(n_reference)

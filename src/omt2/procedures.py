@@ -34,17 +34,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
 
 from .errors import DomainError, ToleranceNotMet
-from .gauss import (AlternativeModel, alpha_lines, check_alpha,
+from .gauss import (LOG_MAX, AlternativeModel, alpha_lines, check_alpha,
                     clamp_pvalue, std_normal_quantile)
 from .numerics import QuadratureConfig, Z_RANGE, bisect, check_count, panel_nodes
-from .objective import (ObjectiveSpec, _lr_z, score_pair, score_parts,
-                        score_pieces, score_z)
+from .objective import (ObjectiveSpec, score_cut, score_kinks, score_pair,
+                        score_parts, score_z)
 
 __all__ = [
     "Decision", "Procedure", "bonferroni", "hommel", "closed_stouffer",
@@ -150,7 +149,7 @@ class Procedure:
             return self.t_sum - z1
         if self.kind == "fixed_sequence":
             return np.where(z1 <= za, np.inf, -np.inf)
-        return _omt_union_cut(self.spec, self.t_score, z1)
+        return score_cut(self.spec, self.t_score, z1)
 
     # -- vectorized decisions on z-scores ---------------------------------
     def decide_z(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +178,7 @@ class Procedure:
         if self.kind in ("closed_stouffer", "bittman"):
             return [za, self.t_sum - za]
         if self.kind == "omt":
-            return [za, *_omt_kinks(self.spec, self.t_score)]
+            return [za, *score_kinks(self.spec, self.t_score)]
         return [za, zh]
 
     def describe(self) -> str:
@@ -357,87 +356,13 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
 # OMT construction: score threshold solved on the null
 # ----------------------------------------------------------------------
 
-# math.exp overflows above this exponent
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
-class _OmtGeometry(NamedTuple):
-    """What the omt column cuts and kinks read of a spec; cached per spec."""
-    za: float                   # quantile(alpha)
-    ea2: float                  # exp(theta2*za - theta2^2/2); inf past `_LOG_MAX`
-    pieces: tuple               # the `score_pieces` rows (c_g, c_1, c_2)
-    cols: tuple                 # the rows as read-only (3, 1) columns c_g, c_1, c_2
-
-
-@functools.lru_cache(maxsize=16)
-def _omt_geometry(spec: ObjectiveSpec) -> _OmtGeometry:
-    """The spec's `_OmtGeometry` (ea2 can overflow for a subnormal alpha)."""
-    t2 = spec.model.theta2
-    za = alpha_lines(spec.alpha)[0]
-    f2 = t2 * za - 0.5 * t2 * t2
-    pieces = score_pieces(spec)
-    cols = np.array(pieces).T[:, :, None]
-    cols.setflags(write=False)
-    return _OmtGeometry(za, math.inf if f2 > _LOG_MAX else math.exp(f2),
-                        pieces, tuple(cols))
-
-
-def _omt_union_cut(spec: ObjectiveSpec, t: float, z1: np.ndarray) -> np.ndarray:
-    """Column cut of {s > t} within the L-shaped domain.
-
-    Along a column each piece's score (see `objective`) is affine in
-    e2, so its crossing is closed-form.  For z1 <= za the score drops
-    at z2 = za, where the square gives way to the z1 flank, so the
-    superlevel set is a single ray; columns z1 > za see only the z2
-    flank and are clipped at z2 = za by `Procedure.column_cuts`.
-    """
-    t1, t2, geo = spec.model.theta1, spec.model.theta2, _omt_geometry(spec)
-    c_g, c_1, c_2 = geo.cols
-    z = z1.reshape(-1)
-    # where e1 overflows (strong shifts, deep in the square) every top and
-    # bottom value is inf or NaN, so the where chain keeps the whole column
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e1 = _lr_z(t1, z)
-        # one row per piece against e1: s = slope*e2 + base
-        slope = c_g * e1
-        slope += c_2
-        base = c_1 * e1
-        top = slope[:2] * geo.ea2
-        top += base[:2]
-        cut = np.subtract(t, base)
-        cut /= slope                  # the crossing e2; e2 <= 0 or NaN: none
-        cut[~(cut > 0)] = 1.0
-        np.log(cut, out=cut)
-        cut += 0.5 * t2 * t2
-        cut /= t2
-    cut_sq, cut_f1, cut_f2 = cut
-    top_sq, top_f1 = top
-    bottom_f1 = base[1]
-    # top_*: score as z2 -> za from inside the piece; bottom_f1: z2 -> +inf
-    cut_low = np.where(t >= top_sq, cut_sq,
-                       np.where(t >= top_f1, geo.za,
-                                np.where(t > bottom_f1, cut_f1, np.inf)))
-    return np.where(z <= geo.za, cut_low, cut_f2).reshape(z1.shape)
-
-
-def _omt_kinks(spec: ObjectiveSpec, t: float) -> list[float]:
-    """z1 values where the union cut changes branch: per piece of `objective`,
-    where its score at z2 = za equals t; and the z1 flank's z2 -> +inf
-    limit c_1*e1 = t, the singular column where the flank cut diverges."""
-    t1, geo = spec.model.theta1, _omt_geometry(spec)
-    roots = [(t - c_2 * geo.ea2, c_g * geo.ea2 + c_1) for c_g, c_1, c_2 in geo.pieces]
-    roots.append((t, geo.pieces[1][1]))   # the z1 flank's limit: c_1*e1 = t
-    e1s = [num / den for num, den in roots if den > 0]
-    return [(math.log(e1) + 0.5 * t1 * t1) / t1 for e1 in e1s if 0.0 < e1 < math.inf]
-
-
 def _bracket_end(null_mass_log, alpha: float, tau: float, step: float) -> float:
     """Step log t = tau by ``step`` while the null mass at tau lies on the
     step's side of alpha (above it for step > 0).  Both sides' guard:
-    ToleranceNotMet, with no mass evaluated, once tau passes `_LOG_MAX`
+    ToleranceNotMet, with no mass evaluated, once tau passes `LOG_MAX`
     (inf, from an overflowing corner score, does) or is NaN, or after a
     step down below -720."""
-    while tau <= _LOG_MAX:
+    while tau <= LOG_MAX:
         if not (null_mass_log(tau) - alpha) * step > 0.0:
             return tau
         tau += step
@@ -464,9 +389,8 @@ def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Proce
 
     # bracket on the log scale around the corner score value; a shift whose
     # square overflows makes it NaN, and the bracket then starts at 0
-    za = alpha_lines(alpha)[0]
     with np.errstate(invalid="ignore"):
-        corner = float(score_z(spec, za, za))
+        corner = float(score_z(spec, spec.za, spec.za))
     log_corner = math.log(corner) if corner > 0 else 0.0
     tau_hi = _bracket_end(null_mass_log, alpha, log_corner, 20.0)
     tau_lo = _bracket_end(null_mass_log, alpha, log_corner - 20.0, -20.0)

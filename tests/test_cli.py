@@ -367,6 +367,28 @@ class TestSavingsCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("calibration", ["marginal-power", "design"])
+    def test_n_below_the_search_floor_is_config_error(self, calibration, capsys):
+        # the integer search starts at 4, so a smaller N has no true answer
+        for n in ("1", "2", "3"):
+            code, out = run(["savings", "--N", n, "--calibration", calibration])
+            assert (code, out) == (2, "")
+            assert f"n_reference must be an integer in [4, inf), got {n}" in (
+                capsys.readouterr().err)
+        code, out = run(["savings", "--N", "4", "--calibration", calibration])
+        assert code == 0 and "relative saving" in out
+
+    @pytest.mark.parametrize("calibration", ["marginal-power", "design"])
+    @pytest.mark.parametrize("n_cap", ["99999999999999999999", "1" + "0" * 400],
+                             ids=["20_digits", "401_digits"])
+    def test_cap_past_the_shift_bound_names_n_cap(self, calibration, n_cap, capsys):
+        code, out = run(["savings", "--measure", "pi_any", "--N", "4800",
+                         "--n-cap", n_cap, "--calibration", calibration])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert f"n_cap = {n_cap} implies the shift" in err
+        assert err.count("\n") == 1
+
 
 class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
@@ -434,6 +456,14 @@ class TestConfigHandling:
         cfg.write_text("freq = 3\n")
         code, _ = run(["power", "--config", str(cfg)])
         assert code == 2
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 0.05\n# a later line\nalpha = 0.01\n")
+        code, out = run(["power", "--proc", "hommel", "--theta1", "-2",
+                         "--theta2", "-2", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert f"{cfg}:3: duplicate key 'alpha'" in capsys.readouterr().err
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -7,7 +7,7 @@ A package that merely happens to be installed does not count.  Neither
 the import nor a call leaves a thread behind.  Quadrature nodes have one
 builder in the package, so a second panel path cannot come back unseen,
 and a rule's per-coordinate decision parts have one caller besides
-``decide_z``.
+``decide_z``.  No module imports another module's underscore name.
 """
 
 import ast
@@ -103,6 +103,17 @@ def test_parts_have_one_caller_besides_decide_z():
     # rule's per-coordinate parts apart, to form each vector's parts once
     assert sorted(set(callers_in_src("_parts"))) == [
         "power_design.mc_power.event", "procedures.Procedure.decide_z"]
+
+
+def test_no_module_imports_a_private_name():
+    # a name that another module needs is public where it is defined
+    private = []
+    for path in sorted((ROOT / "src" / "omt2").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}: {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []
 
 
 THREAD_PROBE = """

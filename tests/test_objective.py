@@ -1,5 +1,6 @@
 """Objective coefficients and the score function."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,8 +9,7 @@ import pytest
 
 from conftest import lr_density, measure_spec, score
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
-                  ObjectiveSpec, Procedure, UnsupportedModel, score_pieces,
-                  score_z)
+                  ObjectiveSpec, Procedure, UnsupportedModel, score_z)
 from omt2.gauss import alpha_lines
 
 ALPHA = 0.025
@@ -61,19 +61,56 @@ class TestSpecValidation:
             score(spec, (0.01, 0.01))
 
 
+class TestSpecGeometry:
+    """The spec derives its score geometry once, outside equality, hash
+    and repr."""
+
+    @staticmethod
+    def make(alpha=0.025):
+        return ObjectiveSpec(0.2, 0.3, 0.5, AlternativeModel(-2.5, -2.0), alpha)
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        a, b = self.make(), self.make()
+        assert a.cols is not b.cols
+        assert a == b and hash(a) == hash(b)
+        assert a != self.make(0.05)
+
+    def test_repr_shows_the_fields_alone(self):
+        assert repr(self.make()) == (
+            "ObjectiveSpec(w_any=0.2, w_avg=0.3, w_one=0.5, model=AlternativeModel("
+            "theta1=-2.5, theta2=-2.0, rho=0.0), alpha=0.025)")
+
+    def test_columns_are_read_only(self):
+        spec = self.make()
+        with pytest.raises(ValueError):
+            spec.cols[0][:] = 0.0
+        assert [col.shape for col in spec.cols] == [(3, 1)] * 3
+        assert [tuple(col[:, 0]) for col in spec.cols] == list(zip(*spec.pieces))
+
+    def test_replace_derives_again(self):
+        spec = dataclasses.replace(self.make(), alpha=0.05)
+        assert spec.za == alpha_lines(0.05)[0]
+        assert spec.ea2 == math.exp(-2.0 * spec.za - 2.0)
+
+    def test_e2_at_za_overflows_to_inf(self):
+        # a subnormal alpha puts za near -38.3, and theta2 = -35 then
+        # takes theta2*za - theta2^2/2 past log(max float)
+        assert ObjectiveSpec(1, 0, 0, AlternativeModel(-1.0, -35.0), 1e-320).ea2 == math.inf
+
+
 class TestCoefficients:
     """Each objective's (c_g, c_1, c_2) on the square, z1 flank and z2 flank."""
 
     def test_pure_any_has_no_marginal_terms(self):
-        for c_g, c_1, c_2 in score_pieces(SPECS["pi_any"]):
+        for c_g, c_1, c_2 in SPECS["pi_any"].pieces:
             assert c_1 == 0.0 and c_2 == 0.0
 
     def test_pure_one_has_no_joint_term(self):
-        for c_g, c_1, c_2 in score_pieces(SPECS["pi_1"]):
+        for c_g, c_1, c_2 in SPECS["pi_1"].pieces:
             assert c_g == 0.0
 
     def test_pure_avg_half_joint_density(self):
-        c_g, c_1, c_2 = score_pieces(SPECS["pi_avg"])[0]
+        c_g, c_1, c_2 = SPECS["pi_avg"].pieces[0]
         assert (c_g, c_1, c_2) == (1.0, 0.0, 0.0)
         # on the square a1 = a2 = c_g*lr1*lr2/2; lr(0.5, -2)^2 / 2 = exp(-4) / 2
         a = c_g * lr_density(0.5, -2.0) * lr_density(0.5, -2.0) / 2.0

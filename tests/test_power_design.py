@@ -612,14 +612,14 @@ class TestRequiredN:
         n = required_n_for_power(power, 0.8)
         assert power(n) >= 0.8 > power(n - 1)
 
-    @pytest.mark.parametrize("n_ref", [0, -4, 4800.0, True])
+    @pytest.mark.parametrize("n_ref", [0, -4, 3, 4800.0, True])
     def test_savings_reference_size_validation(self, n_ref):
         def theta_of_n(n):
             raise AssertionError("called before n_reference was checked")
         with pytest.raises(DomainError):
             savings_report("pi_any", (1.0, 0.0, 0.0), n_ref, theta_of_n, ALPHA)
 
-    @pytest.mark.parametrize("n_cap", ["x", 200_000.0, 0, False])
+    @pytest.mark.parametrize("n_cap", ["x", 200_000.0, 0, 3, False])
     def test_savings_cap_validation(self, n_cap):
         def theta_of_n(n):
             raise AssertionError("called before n_cap was checked")

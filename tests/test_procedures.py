@@ -16,9 +16,9 @@ from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   bonferroni, build_bittman, build_omt, closed_stouffer,
                   evaluate_power, export_region, fixed_sequence, fwer_global,
                   hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
-                  region_mass, region_symmetric_difference, score_pieces,
-                  score_z, std_normal_quantile, theta_from_marginal_power)
-from omt2 import numerics, power_design, procedures
+                  region_mass, region_symmetric_difference, score_z,
+                  std_normal_quantile, theta_from_marginal_power)
+from omt2 import numerics, objective, power_design, procedures
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -421,7 +421,7 @@ class TestScorePieces:
         for spec in self.specs(alpha):
             t1, t2 = spec.model.theta1, spec.model.theta2
             for (c_g, c_1, c_2), (z1, z2) in zip(
-                    score_pieces(spec),
+                    spec.pieces,
                     [(below(), below()), (below(), above()), (above(), below())]):
                 e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
                 e2 = np.exp(t2 * z2 - 0.5 * t2 * t2)
@@ -511,14 +511,14 @@ def inline_symmetric_difference(pa, pb, cfg):
 # -- the ray-mass kernels in their broadcast form, kept as byte references --
 
 def where_chain_union_cut(spec, t, z1):
-    """`procedures._omt_union_cut` as one broadcast over a (3, 1, ...)
+    """`objective.score_cut` as one broadcast over a (3, 1, ...)
     coefficient table, with np.where for the log's argument."""
     t1, t2 = spec.model.theta1, spec.model.theta2
     za = std_normal_quantile(spec.alpha)
     ea2 = math.exp(t2 * za - 0.5 * t2 * t2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e1 = np.exp(t1 * z1 - 0.5 * t1 * t1)
-        c_g, c_1, c_2 = np.reshape(np.transpose(score_pieces(spec)),
+        c_g, c_1, c_2 = np.reshape(np.transpose(spec.pieces),
                                    (3, 3) + (1,) * e1.ndim)
         slope, base = c_g * e1 + c_2, c_1 * e1
         e2 = (t - base) / slope
@@ -573,7 +573,7 @@ def kernel_grid():
                 corner = float(score_z(spec, za, za))
                 ts = [1e-300, 1e-200, 1e200, 1e300, corner,
                       *(corner * 10.0 ** u for u in rng.uniform(-8.0, 8.0, 3).tolist())]
-                kinks = [k for t in ts for k in procedures._omt_kinks(spec, t)]
+                kinks = [k for t in ts for k in objective.score_kinks(spec, t)]
                 z1 = np.concatenate([np.linspace(-40.0, 12.0, 301), [za], kinks,
                                      np.nextafter(kinks, -np.inf),
                                      np.nextafter(kinks, np.inf)])
@@ -586,7 +586,7 @@ class TestKernelsMatchReferences:
     def test_union_cut(self):
         for spec, ts, z1 in kernel_grid():
             for t in ts:
-                got = procedures._omt_union_cut(spec, t, z1)
+                got = objective.score_cut(spec, t, z1)
                 assert got.tobytes() == where_chain_union_cut(spec, t, z1).tobytes(), (
                     spec, t)
 
