@@ -326,8 +326,29 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
 
 
 # ----------------------------------------------------------------------
-# Bittman construction: recalibrated z-sum threshold
+# Threshold calibration: one bracket and one tolerance for both builds
 # ----------------------------------------------------------------------
+
+def _bracket_end(g, x: float, step: float, limit: float = LOG_MAX) -> float:
+    """Step the threshold x by ``step`` while g(x), which increases in the
+    threshold, lies on the far side of 0 (below it for step > 0).  Both
+    sides' guard: ToleranceNotMet, with no g evaluated, once x passes
+    ``limit`` (inf does) or is NaN, or after a step down below -720."""
+    while x <= limit:
+        if not g(x) * step < 0.0:
+            return x
+        x += step
+        if step < 0 and x < -720.0:
+            break
+    raise ToleranceNotMet(f"threshold bracket ran away "
+                          f"({'high' if step > 0 else 'low'} side)")
+
+
+def _calibrate(g, lo: float, hi: float, alpha: float, cfg: QuadratureConfig) -> float:
+    """Root of g = +-(null mass - alpha) on the bracket [lo, hi], to within
+    min(cfg.abs_tol, 1e-10, 0.01 * alpha): the one tolerance of both builds."""
+    return bisect(g, lo, hi, tol=min(cfg.abs_tol, 1e-10, 0.01 * alpha))
+
 
 def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedure:
     """Consonant sharpening of closed-Stouffer.
@@ -338,65 +359,37 @@ def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedur
     """
     a = check_alpha(alpha)
     cfg = cfg or QuadratureConfig()
-    lo = closed_stouffer(a).t_sum
 
-    def null_mass(t: float) -> float:
-        return region_mass(Procedure("bittman", a, t_sum=t), "any", None, cfg)
+    def g(t: float) -> float:    # increases in t
+        return region_mass(Procedure("bittman", a, t_sum=t), "any", None, cfg) - a
 
-    hi = 0.0 if a < 0.5 else 1.0
-    while null_mass(hi) < a:
-        hi += 1.0
-        if hi > 40.0:
-            raise ToleranceNotMet("could not bracket the z-sum threshold")
-    t = bisect(lambda x: null_mass(x) - a, lo, hi, tol=min(cfg.abs_tol, 1e-10))
-    return Procedure("bittman", a, t_sum=t)
-
-
-# ----------------------------------------------------------------------
-# OMT construction: score threshold solved on the null
-# ----------------------------------------------------------------------
-
-def _bracket_end(null_mass_log, alpha: float, tau: float, step: float) -> float:
-    """Step log t = tau by ``step`` while the null mass at tau lies on the
-    step's side of alpha (above it for step > 0).  Both sides' guard:
-    ToleranceNotMet, with no mass evaluated, once tau passes `LOG_MAX`
-    (inf, from an overflowing corner score, does) or is NaN, or after a
-    step down below -720."""
-    while tau <= LOG_MAX:
-        if not (null_mass_log(tau) - alpha) * step > 0.0:
-            return tau
-        tau += step
-        if step < 0 and tau < -720.0:
-            break
-    raise ToleranceNotMet(f"threshold bracket ran away "
-                          f"({'high' if step > 0 else 'low'} side)")
+    hi = _bracket_end(g, 0.0 if a < 0.5 else 1.0, 1.0, limit=40.0)
+    return Procedure("bittman", a, t_sum=_calibrate(g, closed_stouffer(a).t_sum,
+                                                    hi, a, cfg))
 
 
 def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Procedure:
     """Optimal procedure for the objective: score + solved threshold.
 
-    Bisects log(t) until the global-null mass of the union region
-    equals alpha within min(cfg.abs_tol, 1e-10); the mass is continuous
-    and strictly decreasing in the threshold, so the solution exists
-    and is unique.
+    Calibrates log(t) until the global-null mass of the union region
+    equals alpha; the mass is continuous and strictly decreasing in the
+    threshold, so the solution exists and is unique.
     """
     cfg = cfg or QuadratureConfig()
     alpha = spec.alpha
 
-    def null_mass_log(tau: float) -> float:
-        return region_mass(Procedure("omt", alpha, spec=spec, t_score=math.exp(tau)),
-                           "any", None, cfg)
+    def g(tau: float) -> float:  # increases in log t
+        return alpha - region_mass(Procedure("omt", alpha, spec=spec,
+                                             t_score=math.exp(tau)), "any", None, cfg)
 
     # bracket on the log scale around the corner score value; a shift whose
     # square overflows makes it NaN, and the bracket then starts at 0
     with np.errstate(invalid="ignore"):
         corner = float(score_z(spec, spec.za, spec.za))
     log_corner = math.log(corner) if corner > 0 else 0.0
-    tau_hi = _bracket_end(null_mass_log, alpha, log_corner, 20.0)
-    tau_lo = _bracket_end(null_mass_log, alpha, log_corner - 20.0, -20.0)
-
-    tol = min(cfg.abs_tol, 1e-10, 0.01 * alpha)
-    tau = bisect(lambda x: null_mass_log(x) - alpha, tau_lo, tau_hi, tol=tol)
+    tau_hi = _bracket_end(g, log_corner, 20.0)
+    tau_lo = _bracket_end(g, log_corner - 20.0, -20.0)
+    tau = _calibrate(g, tau_lo, tau_hi, alpha, cfg)
     proc = Procedure("omt", alpha, spec=spec, t_score=math.exp(tau))
     resid = abs(region_mass(proc, "any", None, cfg) - alpha)
     if resid > cfg.abs_tol:

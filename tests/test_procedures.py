@@ -254,11 +254,11 @@ class TestOmtBracketEdges:
             math.exp(tau)           # the solve's t; OverflowError above log(max)
             return 1.0
         with pytest.raises(ToleranceNotMet, match=r"\(high side\)$"):
-            procedures._bracket_end(mass_above, ALPHA, 650.0, 20.0)
+            procedures._bracket_end(lambda tau: ALPHA - mass_above(tau), 650.0, 20.0)
         assert tried == [650.0, 670.0, 690.0]
         for start in (math.inf, math.nan):
             with pytest.raises(ToleranceNotMet, match=r"\(high side\)$"):
-                procedures._bracket_end(mass_above, ALPHA, start, 20.0)
+                procedures._bracket_end(lambda tau: ALPHA - mass_above(tau), start, 20.0)
         assert tried == [650.0, 670.0, 690.0]
 
     def test_low_side_keeps_its_cap(self):
@@ -269,11 +269,11 @@ class TestOmtBracketEdges:
             tried.append(tau)
             return 0.0
         with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
-            procedures._bracket_end(mass_below, ALPHA, -690.0, -20.0)
+            procedures._bracket_end(lambda tau: ALPHA - mass_below(tau), -690.0, -20.0)
         assert tried == [-690.0, -710.0]
         with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
-            procedures._bracket_end(mass_below, ALPHA, math.inf, -20.0)
-        assert procedures._bracket_end(lambda tau: ALPHA, ALPHA, -730.0, -20.0) == -730.0
+            procedures._bracket_end(lambda tau: ALPHA - mass_below(tau), math.inf, -20.0)
+        assert procedures._bracket_end(lambda tau: 0.0, -730.0, -20.0) == -730.0
 
     def test_high_side_steps_up_from_a_subnormal_corner(self):
         # log t below -720 is in range; only a step down there ends the bracket
@@ -282,7 +282,7 @@ class TestOmtBracketEdges:
         def mass(tau):
             tried.append(tau)
             return 1.0 if tau < -730.0 else 0.0
-        assert procedures._bracket_end(mass, ALPHA, -741.0, 20.0) == -721.0
+        assert procedures._bracket_end(lambda tau: ALPHA - mass(tau), -741.0, 20.0) == -721.0
         assert tried == [-741.0, -721.0]
 
     def test_subnormal_corner_runs_away_on_the_low_side(self, quad_cfg):
