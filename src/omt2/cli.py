@@ -33,7 +33,7 @@ from .errors import (ConfigError, DegenerateVariance, DomainError,
                      MaxIterations, NoBracket, Omt2Error, ToleranceNotMet,
                      Unachievable, UnsupportedModel)
 from .gauss import AlternativeModel
-from .numerics import McConfig, QuadratureConfig
+from .numerics import McConfig, QuadratureConfig, check_count
 from .objective import ObjectiveSpec
 from .power_design import (MEASURE_WEIGHTS, MEASURES, allocation_search,
                            evaluate_power, fwer_global, mc_power,
@@ -405,7 +405,7 @@ _SAVINGS_KEYS = {"measure": (str, "pi_any"), "N": (int, 4800), "alpha": (float, 
 
 
 def cmd_savings(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
-    alpha, n_ref = cfg["alpha"], cfg["N"]
+    alpha, n_ref = cfg["alpha"], check_count("N", cfg["N"], 4)
     measure = _measure(cfg["measure"])
     rc, rt = cfg["rate_control"], cfg["rate_treat"]
     marginal = _choose(_CALIBRATIONS, cfg["calibration"], "calibration")

@@ -97,9 +97,10 @@ _BLOCK = 1 << 16
 class QuadratureConfig:
     """Panel layout for deterministic Gauss-Legendre quadrature.
 
-    ``abs_tol`` bounds no integral.  The threshold solves stop at a null
-    mass within min(abs_tol, 1e-10) of alpha (omt also within 0.01 * alpha),
-    1e-10 at all three CLI profiles, and `build_omt` checks its residual.
+    ``abs_tol`` bounds no integral.  Both threshold solves, `build_omt`
+    and `build_bittman`, stop at a null mass within the one tolerance
+    min(abs_tol, 1e-10, 0.01 * alpha) of alpha, 1e-10 at all three CLI
+    profiles for alpha >= 1e-8, and `build_omt` checks its residual.
     """
 
     panels_per_axis: int = 24

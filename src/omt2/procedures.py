@@ -23,10 +23,12 @@ Rules (p-space, one-sided, level alpha):
                     threshold t solved so the global-null rejection
                     probability is exactly alpha
 
-The omt threshold is solved by bisection on log(t): the score spans
-hundreds of orders of magnitude across the domain for strong shifts,
-so a linear-scale bracket is numerically useless, while the null mass
-is smooth and strictly monotone in log(t) on the relevant range.
+Both thresholds go through one calibration: `_bracket_end` steps out a
+bracket and `_calibrate` bisects the null mass to alpha within one
+tolerance.  Bittman's is solved in t_sum, and omt's in log(t): the score
+spans hundreds of orders of magnitude across the domain for strong
+shifts, so a linear-scale bracket is numerically useless, while the null
+mass is smooth and strictly monotone in log(t) on the relevant range.
 """
 
 from __future__ import annotations
@@ -344,10 +346,20 @@ def _bracket_end(g, x: float, step: float, limit: float = LOG_MAX) -> float:
                           f"({'high' if step > 0 else 'low'} side)")
 
 
+# Null mass that `region_mass` leaves out: z1 beyond -Z_RANGE, about 1.05e-21.
+_Z_TAIL = float(ndtr(-Z_RANGE))
+
+
 def _calibrate(g, lo: float, hi: float, alpha: float, cfg: QuadratureConfig) -> float:
     """Root of g = +-(null mass - alpha) on the bracket [lo, hi], to within
-    min(cfg.abs_tol, 1e-10, 0.01 * alpha): the one tolerance of both builds."""
-    return bisect(g, lo, hi, tol=min(cfg.abs_tol, 1e-10, 0.01 * alpha))
+    min(cfg.abs_tol, 1e-10, 0.01 * alpha): the one tolerance of both builds.
+    ToleranceNotMet where that tolerance is not above the null mass the
+    quadrature leaves out (alpha below about 1.05e-19)."""
+    tol = min(cfg.abs_tol, 1e-10, 0.01 * alpha)
+    if not tol > _Z_TAIL:
+        raise ToleranceNotMet(f"alpha={alpha:g} is below what the null quadrature "
+                              f"over z1 in +-{Z_RANGE:g} resolves")
+    return bisect(g, lo, hi, tol=tol)
 
 
 def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedure:
@@ -390,7 +402,10 @@ def build_omt(spec: ObjectiveSpec, cfg: QuadratureConfig | None = None) -> Proce
     tau_hi = _bracket_end(g, log_corner, 20.0)
     tau_lo = _bracket_end(g, log_corner - 20.0, -20.0)
     tau = _calibrate(g, tau_lo, tau_hi, alpha, cfg)
-    proc = Procedure("omt", alpha, spec=spec, t_score=math.exp(tau))
+    t = math.exp(tau)
+    if t == 0.0:    # the rule {s > 0}, drawn by where the score underflows
+        raise ToleranceNotMet(f"threshold t = exp({tau:.6g}) underflows to 0")
+    proc = Procedure("omt", alpha, spec=spec, t_score=t)
     resid = abs(region_mass(proc, "any", None, cfg) - alpha)
     if resid > cfg.abs_tol:
         raise ToleranceNotMet(

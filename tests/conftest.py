@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, owens_t
 
-from omt2 import (MEASURE_WEIGHTS, DomainError, McConfig, ObjectiveSpec,
-                  QuadratureConfig, score_z, std_normal_quantile)
+from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError, McConfig,
+                  ObjectiveSpec, QuadratureConfig, score_z, std_normal_quantile)
 from omt2.numerics import uniforms
 
 # Registry filled by test_acceptance; printed as one line per criterion
@@ -51,6 +52,58 @@ def score(spec: ObjectiveSpec, p: tuple[float, float]) -> float:
     p1, p2 = p
     _check_p(p1, p2)
     return float(score_z(spec, std_normal_quantile(p1), std_normal_quantile(p2)))
+
+
+# -- exact masses for rules whose column cuts are linear in z1 -----------
+
+def linear_primitive(x: float, a: float, b: float) -> float:
+    """Integral of phi(z) * Phi(a + b z) over z <= x, in closed form: the
+    bivariate normal CDF Phi2(x, a/r; -b/r) with r = sqrt(1 + b^2), through
+    Owen's T function (Owen, Ann. Math. Statist. 27, 1956).  The arguments
+    of T are formed from (x, a, b), so no 1 - rho^2 cancels as |b| grows."""
+    if b == 0.0:
+        return float(ndtr(x) * ndtr(a))
+    k = a / math.sqrt(1.0 + b * b)
+    if x == 0.0 and a == 0.0:
+        return 0.25 - math.atan(b) / (2.0 * math.pi)
+    if x == 0.0:
+        return 0.5 * float(ndtr(k)) - float(owens_t(k, b))
+    if a == 0.0:
+        return 0.5 * float(ndtr(x)) - float(owens_t(x, b))
+    return (0.5 * float(ndtr(x)) + 0.5 * float(ndtr(k))
+            - float(owens_t(x, (a + b * x) / x))
+            - float(owens_t(k, (x * (1.0 + b * b) + a * b) / a))
+            - (0.5 if x * k < 0.0 else 0.0))
+
+
+def exact_mass(proc, which: str, model=None, span: float = 40.0) -> float:
+    """`region_mass` of a rule whose cut is constant, +-inf or linear in z1
+    between its `z_breakpoints`, by `linear_primitive` on each segment of
+    z1 in [-span, span].  Each segment reads its cut p + q*z1 at two
+    interior points and checks a third against it, so a curved cut (an
+    omt rule with w_one > 0) raises instead of being integrated.  The
+    differences of primitives lose about 1e-16 in absolute terms, so the
+    result is an oracle only for masses above about 1e-14."""
+    m = model or AlternativeModel(0.0, 0.0)
+    sd = math.sqrt(1.0 - m.rho * m.rho)
+    ends = sorted({-span, span, *(z for z in proc.z_breakpoints() if -span < z < span)})
+    total = 0.0
+    for lo, hi in zip(ends, ends[1:]):
+        zs = np.array([lo + (hi - lo) / 3.0, 0.5 * (lo + hi), hi - (hi - lo) / 3.0])
+        c1, c2 = proc.column_cuts(zs)
+        c = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
+        xl, xh = lo - m.theta1, hi - m.theta1
+        if np.all(np.isinf(c)) and np.all(c == c[0]):
+            total += float(ndtr(xh) - ndtr(xl)) if c[0] > 0 else 0.0
+            continue
+        q = (c[2] - c[0]) / (zs[2] - zs[0])
+        p = c[0] - q * zs[0]
+        if not abs(p + q * zs[1] - c[1]) <= 1e-9 * (1.0 + abs(c[1])):
+            raise ValueError(f"cut of {proc.describe()} is not linear on [{lo}, {hi}]")
+        a = (p + q * m.theta1 - m.theta2) / sd
+        b = (q - m.rho) / sd
+        total += linear_primitive(xh, a, b) - linear_primitive(xl, a, b)
+    return total
 
 
 # -- whole-sample Monte Carlo reference: no blocks, no threads ----------

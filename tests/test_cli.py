@@ -373,8 +373,8 @@ class TestSavingsCommand:
         for n in ("1", "2", "3"):
             code, out = run(["savings", "--N", n, "--calibration", calibration])
             assert (code, out) == (2, "")
-            assert f"n_reference must be an integer in [4, inf), got {n}" in (
-                capsys.readouterr().err)
+            assert capsys.readouterr().err == (
+                f"configuration error: N must be an integer in [4, inf), got {n}\n")
         code, out = run(["savings", "--N", "4", "--calibration", calibration])
         assert code == 0 and "relative saving" in out
 
@@ -582,8 +582,8 @@ class TestInputBounds:
 
 
 class TestFloatEdges:
-    """Inputs that push the omt threshold solve past the float range end at
-    once with exit 3 and one line on stderr, and no numpy warning."""
+    """Inputs that push a threshold solve past the float range end at once
+    with exit 3 and one line on stderr, and no numpy warning."""
 
     @pytest.mark.parametrize("argv", [
         ["power", "--proc", "omt", "--objective", "pi_any", "--theta1", "-30",
@@ -607,6 +607,28 @@ class TestFloatEdges:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: threshold bracket ran away")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["region", "--proc", "omt", "--objective", "pi_any", "--alpha", "0.001",
+          "--theta1=-38.5", "--theta2=-19", "--grid", "16", "--out", "-"],
+         "threshold t = exp(-763.747) underflows to 0"),
+        (["region", "--proc", "omt", "--objective", "pi1", "--theta1", "-3",
+          "--theta2", "-3", "--alpha", "1e-22", "--grid", "16", "--out", "-"],
+         "alpha=1e-22 is below what the null quadrature over z1 in +-9.5 resolves"),
+        (["region", "--proc", "bittman", "--alpha", "1e-22", "--grid", "16",
+          "--out", "-"],
+         "alpha=1e-22 is below what the null quadrature over z1 in +-9.5 resolves"),
+    ], ids=["underflowed_t", "omt_below_floor", "bittman_below_floor"])
+    def test_unresolvable_threshold_exits_3(self, argv, cause, capsys):
+        assert run(argv) == (3, "")
+        assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+
+    def test_bittman_at_small_alpha_is_recalibrated(self):
+        argv = ["region", "--grid", "16", "--out", "-", "--alpha", "1e-10", "--proc"]
+        (c1, bittman), (c2, stouffer) = run(argv + ["bittman"]), run(argv + ["closed_stouffer"])
+        assert c1 == c2 == 0
+        assert "z-sum threshold = -8.99629\n" in stouffer
+        assert "z-sum threshold = -6.50123\n" in bittman
 
 
 class TestNegativeValues:

@@ -5,7 +5,8 @@ a module of this test directory, or the import name of a distribution
 listed in ``pyproject.toml`` (``dependencies`` or the ``test`` extra).
 A package that merely happens to be installed does not count.  Neither
 the import nor a call leaves a thread behind.  Quadrature nodes have one
-builder in the package, so a second panel path cannot come back unseen,
+builder in the package, so a second panel path cannot come back unseen;
+both level-alpha thresholds are solved through one calibration helper;
 and a rule's per-coordinate decision parts have one caller besides
 ``decide_z``.  No module imports another module's underscore name.
 """
@@ -91,6 +92,14 @@ def callers_in_src(name: str) -> list[str]:
 
 def test_panel_nodes_has_one_caller():
     assert callers_in_src("panel_nodes") == ["procedures._column_plan"]
+
+
+def test_both_thresholds_share_one_calibration():
+    # one bracket helper and one tolerance-holding root solve for both builds
+    assert callers_in_src("bisect") == ["procedures._calibrate"]
+    builds = ["procedures.build_bittman", "procedures.build_omt"]
+    assert sorted(set(callers_in_src("_bracket_end"))) == builds
+    assert sorted(callers_in_src("_calibrate")) == builds
 
 
 def test_mc_estimate_has_one_caller():

@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 import omt2.procedures
-from conftest import bool_mean_se, lr_density, measure_spec, time_limit
+from conftest import (bool_mean_se, exact_mass, linear_primitive, lr_density,
+                      measure_spec, time_limit)
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
                   bonferroni, build_bittman, build_omt, closed_stouffer,
@@ -110,6 +111,14 @@ class TestBittman:
         b = build_bittman(0.5, quad_cfg)
         assert b.t_sum == pytest.approx(0.0, abs=1e-6)
         assert fwer_global(b, 0.0, quad_cfg) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-10, 1e-12])
+    def test_level_exact_at_small_alpha(self, alpha, quad_cfg):
+        # the solve's tolerance scales with alpha, so it neither stops at
+        # closed-Stouffer's threshold nor a few percent off the level
+        b = build_bittman(alpha, quad_cfg)
+        assert b.t_sum != closed_stouffer(alpha).t_sum
+        assert exact_mass(b, "any") == pytest.approx(alpha, rel=0.01)
 
 
 class TestCoincidenceBound:
@@ -292,6 +301,93 @@ class TestOmtBracketEdges:
         with time_limit(5):
             with pytest.raises(ToleranceNotMet, match=r"\(low side\)$"):
                 build_omt(spec, quad_cfg)
+
+
+class TestCalibrationEdges:
+    """Where the solved threshold cannot mean what it says, the build ends
+    with a typed error instead of returning it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_bittman(1e-22),
+        lambda: build_omt(measure_spec("pi_1", AlternativeModel(-3.0, -3.0), 1e-22)),
+        lambda: build_omt(measure_spec("pi_any", AlternativeModel(-3.0, -3.0), 1e-22))],
+        ids=["bittman", "omt_pi_1", "omt_pi_any"])
+    def test_alpha_below_the_quadrature_floor(self, build):
+        # the null integral leaves out z1 < -Z_RANGE, about 1.05e-21 of mass
+        with pytest.raises(ToleranceNotMet, match=r"below what the null quadrature"):
+            build()
+
+    def test_alpha_above_the_floor_still_solves(self, quad_cfg):
+        proc = build_omt(measure_spec("pi_1", AlternativeModel(-3.0, -3.0), 1e-18),
+                         quad_cfg)
+        assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(1e-18, rel=0.01)
+
+    def test_underflowed_threshold(self, quad_cfg):
+        # the solve ends at log t = -763.7, and exp of that is 0
+        spec = measure_spec("pi_any", AlternativeModel(-38.5, -19.0), 0.001)
+        with pytest.raises(ToleranceNotMet, match=r"underflows to 0$"):
+            build_omt(spec, quad_cfg)
+
+
+class TestExactMassOracle:
+    """`conftest.exact_mass`, the closed form for linear-cut rules, against
+    mpmath and against `region_mass`."""
+
+    @pytest.mark.parametrize("x,a,b", [
+        (0.0, 0.3, -2.0), (1.2, 0.0, 3.0), (0.0, 0.0, -5.0), (-2.0, 1.5, 0.0),
+        (-1.3, -7.0, -1200.0), (0.7, 12.0, -1200.0), (3.0, -2.5, 1e-3),
+        (0.2, -0.3, -0.7)],
+        ids=["h0", "k0", "h0_k0", "b0", "steep_low", "steep_high", "flat", "mixed"])
+    def test_primitive_matches_mpmath(self, x, a, b):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+
+        def primitive(u):
+            kink = [mp.mpf(-a) / b] if b != 0 and -a / b < u else []
+            return mp.quad(lambda z: mp.npdf(z) * mp.ncdf(a + b * z),
+                           [-mp.inf, *kink, u])
+        want = float(primitive(x) - primitive(-5.0))
+        got = linear_primitive(x, a, b) - linear_primitive(-5.0, a, b)
+        assert abs(got - want) <= 2e-16
+
+    def test_agrees_with_region_mass(self, quad_cfg):
+        # 468 masses: 15 builtins and 24 pi_any/pi_avg rules, each under the
+        # null and three shifted models, for d1, d2 and any
+        cases = []
+        for alpha in (0.01, 0.025, 0.05):
+            builtins = [bonferroni(alpha), hommel(alpha), closed_stouffer(alpha),
+                        fixed_sequence(alpha), build_bittman(alpha, quad_cfg)]
+            models = [AlternativeModel(-2.2, -2.9), AlternativeModel(-5.0, 0.0),
+                      AlternativeModel(0.0, -3.5)]
+            cases += [(r, models) for r in builtins]
+            for theta in ((-2.2, -2.9), (-3.0, -3.0), (-5.0, -3.5), (-2.5, -2.0)):
+                m = AlternativeModel(*theta)
+                models = [m, AlternativeModel(theta[0], 0.0), AlternativeModel(0.0, theta[1])]
+                cases += [(build_omt(measure_spec(k, m, alpha), quad_cfg), models)
+                          for k in ("pi_any", "pi_avg")]
+        masses = [(exact_mass(r, w, m), region_mass(r, w, m, quad_cfg))
+                  for r, models in cases for m in (None, *models)
+                  for w in ("d1", "d2", "any")]
+        assert len(masses) == 468
+        assert max(abs(e - q) for e, q in masses) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.5, -0.3])
+    def test_agrees_under_correlation(self, rho, quad_cfg):
+        m = AlternativeModel(-2.0, -2.5, rho)
+        for r in (hommel(ALPHA), closed_stouffer(ALPHA), build_bittman(ALPHA, quad_cfg)):
+            for w in ("d1", "d2", "any"):
+                assert exact_mass(r, w, m) == pytest.approx(
+                    region_mass(r, w, m, quad_cfg), abs=1e-12)
+
+    @pytest.mark.parametrize("measure,theta", [("pi_1", (-3.0, -3.0)),
+                                               ("pi_combo", (-2.5, -2.0))])
+    def test_curved_cut_is_refused(self, measure, theta, quad_cfg):
+        # w_one > 0, at shifts below the bound where pi_1 matches hommel
+        proc = build_omt(measure_spec(measure, AlternativeModel(*theta), ALPHA),
+                         quad_cfg)
+        for which in ("d1", "d2", "any"):
+            with pytest.raises(ValueError, match=r"not linear"):
+                exact_mass(proc, which)
 
 
 class TestStructuralRestrictions:
