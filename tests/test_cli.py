@@ -625,7 +625,8 @@ class TestFloatEdges:
 
     def test_bittman_at_small_alpha_is_recalibrated(self):
         argv = ["region", "--grid", "16", "--out", "-", "--alpha", "1e-10", "--proc"]
-        (c1, bittman), (c2, stouffer) = run(argv + ["bittman"]), run(argv + ["closed_stouffer"])
+        (c1, bittman), (c2, stouffer) = (run(argv + [proc])
+                                         for proc in ("bittman", "closed_stouffer"))
         assert c1 == c2 == 0
         assert "z-sum threshold = -8.99629\n" in stouffer
         assert "z-sum threshold = -6.50123\n" in bittman
