@@ -22,8 +22,9 @@ from .procedures import (Decision, Procedure, RegionGrid, bonferroni,
 from .power_design import (MEASURE_WEIGHTS, MEASURES, AllocationResult,
                            PowerReport, SavingsReport, TwoArmDesign,
                            allocation_search, evaluate_power, fwer_global,
-                           mc_power, observed_pvalue, required_n_for_power,
-                           savings_report, theta_for_group, theta_from_design,
+                           mc_power, mc_powers, observed_pvalue,
+                           required_n_for_power, savings_report,
+                           theta_for_group, theta_from_design,
                            theta_from_marginal_power)
 
 __version__ = "0.1.0"

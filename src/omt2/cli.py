@@ -36,7 +36,7 @@ from .gauss import AlternativeModel
 from .numerics import McConfig, QuadratureConfig, check_count
 from .objective import ObjectiveSpec
 from .power_design import (MEASURE_WEIGHTS, MEASURES, allocation_search,
-                           evaluate_power, fwer_global, mc_power,
+                           evaluate_power, fwer_global, mc_powers,
                            observed_pvalue, savings_report, theta_for_group,
                            theta_from_design, theta_from_marginal_power,
                            TwoArmDesign)
@@ -302,7 +302,9 @@ def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
         raise ConfigError("need --proc NAME or --procedures benchmark|all")
     if rho != 0.0 and (cfg["procedures"] is not None or cfg["proc"] == "omt"):
         raise ConfigError("correlated models only evaluate builtin procedures")
-    mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"]) if cfg["mc"] else None
+    # checked with or without --mc, so a run never accepts settings that
+    # fail once mc is set
+    mcc = McConfig(reps=cfg["reps"], seed=cfg["seed"])
 
     if cfg["proc"] is not None:
         cols = [(cfg["proc"], _build_procedure(cfg["proc"], alpha,
@@ -316,10 +318,11 @@ def cmd_power(cfg: dict, qcfg: QuadratureConfig, out_stream) -> int:
     # stdout empty rather than holding the head of a table
     text = [f"alpha = {alpha:.6g}  theta = ({th1:.6g}, {th2:.6g})  rho = {rho:.6g}\n",
             _power_table(cols, None if null_like else model, rho, qcfg)]
-    if mcc is not None:
+    if cfg["mc"]:
+        # one streamed pass decides every column
         text.append("monte carlo (mean, se):\n")
-        for (name, proc) in cols:
-            est = mc_power(proc, model, mcc)
+        ests = mc_powers([proc for _, proc in cols], model, mcc)
+        for (name, _), est in zip(cols, ests):
             parts = [f"{m}={est[m][0]:.4f}(se {est[m][1]:.1e})" for m in MEASURES]
             text.append(f"  {name}: " + " ".join(parts) + "\n")
     out_stream.write("".join(text))

@@ -38,19 +38,27 @@ this process may run on: the calling thread and a pool of workers (numpy
 and scipy release the interpreter lock inside their loops, and take it
 back between calls, so a block is sized for few, large calls).  The pool
 lives only for the call: no thread starts at import or outlives a call.
-Only the latest draw is memoized, and a new draw drops it before it is
-made, so one draw is alive at a time.
+One function, `_normal_block`, draws a block's normals; it serves both.
+`normal_pairs` keeps the full-length draw: only the latest draw is
+memoized, and a new draw drops it before it is made, so one draw is alive
+at a time.  `mc_estimate` reads its blocks from that memo when it holds
+the (seed, reps) asked for, and otherwise draws each block inside the
+block and drops it there, so it never holds the full-length draw.  So
+`power_design.mc_power`, which decides one rule per call, fills the memo
+first and draws once per (seed, reps), while `power_design.mc_powers`
+(and with it ``omt2 power --mc``) decides all of its rules in one streamed
+pass, in O(block) memory at any reps.
 `mc_estimate` takes a tuple of models, all shifts of the one draw, and
 calls the event once per block with one (z1, z2) pair per model,
 possibly at the same time as other blocks and in any order, so the
 event must be a pure elementwise function: value k may depend only on
-replication k's pairs.  The event returns a tuple of bool arrays, and
-`mc_estimate` the exact number of True values in each, so no full-length
-array is kept (`mc_power` gets each measure's exact sums of x and x^2
-from such counts by inclusion-exclusion).  The draws of a block are a
-pure function of (seed, reps, block), and integer addition is exact, so
-no count can depend on the block size, the worker count or the finishing
-order.
+replication k's pairs.  The event returns bool arrays, and `mc_estimate`
+the exact number of True values in each, counted as the event hands it
+over, so no full-length array is kept (`mc_power` gets each measure's
+exact sums of x and x^2 from such counts by inclusion-exclusion).  The
+draws of a block are a pure function of (seed, reps, block), and integer
+addition is exact, so no count can depend on the block size, the worker
+count, the finishing order or whether the blocks came from the memo.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import os
 import threading
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 # unused here; kept so that ``numerics.ndtr`` stays the shared scipy
@@ -114,7 +122,7 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
 
 
-# Largest replication count: the cached draws are two float64 arrays of
+# Largest replication count: a memoized draw is two float64 arrays of
 # reps values, 1 GiB at 2^26.
 MAX_REPS = 1 << 26
 
@@ -123,8 +131,9 @@ MAX_REPS = 1 << 26
 class McConfig:
     """Replication count and seed for the Monte Carlo oracle.
 
-    reps lies in [10_000, MAX_REPS = 2^26], so the cached draws stay at
-    or below 1 GiB; seed in [0, 2^64).
+    reps lies in [10_000, MAX_REPS = 2^26], so a memoized draw (the one
+    per-rule `mc_power` keeps) stays at or below 1 GiB, while a streamed
+    pass (`mc_powers`) holds O(block) draws at any reps; seed in [0, 2^64).
     """
 
     reps: int = 1_000_000
@@ -306,16 +315,29 @@ _draws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _draws_lock = threading.Lock()
 
 
+def _normal_block(seed: int, reps: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two read-only standard-normal vectors of replications
+    [lo, lo + _BLOCK) (fewer in the last block), bit for bit the slices
+    [lo, lo + _BLOCK) of ``normal_pairs(seed, reps)``."""
+    n = min(_BLOCK, reps - lo)
+    pair = tuple(std_normal_quantile(uniforms(seed, k * reps + lo, n)) for k in (0, 1))
+    for z in pair:
+        z.setflags(write=False)
+    return pair
+
+
 def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Two independent standard-normal vectors of length ``reps``.
 
     Pair k uses stream outputs k and reps+k, so the k-th replication is
-    a pure function of (seed, reps, k); the blocks fill disjoint slices.
-    Only the latest draws are memoized, as every caller reuses one
+    a pure function of (seed, reps, k); the blocks (`_normal_block`) fill
+    disjoint slices.  This is the draw that per-rule `mc_power` keeps:
+    only the latest draws are memoized, as every caller reuses one
     (seed, reps) at a time, and a new draw drops the old one before it is
-    made, so a process holds one draw, not two.  The draws are read-only,
-    so no caller can change those of the next.  ``normal_pairs.cache_clear()``
-    empties the memo.
+    made, so a process holds one draw, not two.  `mc_powers` streams its
+    blocks instead and leaves the memo as it found it.  The draws are
+    read-only, so no caller can change those of the next.
+    ``normal_pairs.cache_clear()`` empties the memo.
     """
     key = (seed, reps)
     with _draws_lock:
@@ -327,9 +349,8 @@ def normal_pairs(seed: int, reps: int) -> tuple[np.ndarray, np.ndarray]:
     pair = np.empty(reps), np.empty(reps)
 
     def fill(lo: int) -> None:
-        n = min(_BLOCK, reps - lo)
-        for k, zz in enumerate(pair):
-            zz[lo:lo + n] = std_normal_quantile(uniforms(seed, k * reps + lo, n))
+        for zz, b in zip(pair, _normal_block(seed, reps, lo)):
+            zz[lo:lo + len(b)] = b
 
     _map_blocks(fill, reps)
     for zz in pair:
@@ -351,30 +372,43 @@ def _second(t2: float, rho: float, b1: np.ndarray, b2: np.ndarray) -> np.ndarray
     return rho * b1 + scale * b2 if t2 == 0.0 else t2 + rho * b1 + scale * b2
 
 
-def mc_estimate(event: Callable[..., tuple[np.ndarray, ...]],
+def mc_estimate(event: Callable[..., Iterable[np.ndarray]],
                 models: Sequence[AlternativeModel], cfg: McConfig) -> list[int]:
     """Exact count of True values in each array of ``event(z1_a, z2_a, ...)``.
 
     Model m shifts the one draw to z1 = theta1 + Z1 and z2 = theta2 +
     rho*Z1 + sqrt(1-rho^2)*Z2.  The event gets one pair per model, each
     model's own arrays, and the draw itself for a zero shift (the draws
-    are never +-0, so 0.0 + b is b).  It is
-    called once per block of ``_BLOCK`` replications, on one thread per
-    CPU and in any order, and returns a tuple of bool arrays (any other
-    dtype raises DomainError).  The block counts are added as Python ints,
-    so no count depends on the block size, the worker count or the
-    finishing order; deterministic for fixed (seed, reps).
+    are never +-0, so 0.0 + b is b).  It is called once per block of
+    ``_BLOCK`` replications, on one thread per CPU and in any order, and
+    returns an iterable of bool arrays (any other dtype raises
+    DomainError): a tuple, or a generator, whose arrays are counted one
+    at a time as it yields them, so that it can form each rule's
+    decisions after the last rule's are counted and dropped.  The block's
+    draws are the memo's slices when `normal_pairs` holds (seed, reps);
+    otherwise the block draws them itself (`_normal_block`) and drops
+    them when it is done, so the call holds O(block) draws per thread.
+    The block counts are added as Python ints, so no count depends on the
+    block size, the worker count, the finishing order or the memo;
+    deterministic for fixed (seed, reps).
     """
-    zz1, zz2 = normal_pairs(cfg.seed, cfg.reps)
+    with _draws_lock:
+        memo = _draws.get((cfg.seed, cfg.reps))
 
     def block(lo: int) -> list[int]:
-        b1, b2 = zz1[lo:lo + _BLOCK], zz2[lo:lo + _BLOCK]
-        out = event(*(z for m in models for z in (
-            b1 if m.theta1 == 0.0 else m.theta1 + b1, _second(m.theta2, m.rho, b1, b2))))
-        if any(np.shape(a) != b1.shape or a.dtype != np.bool_ for a in out):
-            raise DomainError("event must return a tuple of bool arrays, "
-                              "one value per replication")
-        return [int(np.count_nonzero(a)) for a in out]
+        if memo is None:
+            b1, b2 = _normal_block(cfg.seed, cfg.reps, lo)
+        else:
+            b1, b2 = memo[0][lo:lo + _BLOCK], memo[1][lo:lo + _BLOCK]
+        counts = []
+        for a in event(*(z for m in models for z in (
+                b1 if m.theta1 == 0.0 else m.theta1 + b1,
+                _second(m.theta2, m.rho, b1, b2)))):
+            if np.shape(a) != b1.shape or a.dtype != np.bool_:
+                raise DomainError("event must return a tuple (or a generator) of "
+                                  "bool arrays, one value per replication")
+            counts.append(int(np.count_nonzero(a)))
+        return counts
 
     blocks = _map_blocks(block, cfg.reps)
     if len({len(counts) for counts in blocks}) > 1:

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 from .errors import DegenerateVariance, DomainError, Unachievable
 from .gauss import (REAL_TYPES, AlternativeModel, alpha_lines, check_alpha,
                     std_normal_cdf, std_normal_quantile)
-from .numerics import McConfig, QuadratureConfig, check_count, mc_estimate
+from .numerics import (McConfig, QuadratureConfig, check_count, mc_estimate,
+                       normal_pairs)
 from .objective import ObjectiveSpec
 from .procedures import MAX_SHIFT, Procedure, build_omt, hommel, region_mass
 
@@ -33,7 +34,8 @@ __all__ = [
     "PowerReport", "TwoArmDesign", "AllocationResult", "SavingsReport",
     "MEASURES", "MEASURE_WEIGHTS", "theta_from_design", "observed_pvalue",
     "theta_from_marginal_power", "evaluate_power", "fwer_global",
-    "mc_power", "allocation_search", "required_n_for_power", "savings_report",
+    "mc_power", "mc_powers", "allocation_search", "required_n_for_power",
+    "savings_report",
 ]
 
 MEASURES = ("pi_avg", "pi_any", "pi_1", "pi_combo")
@@ -182,21 +184,25 @@ def _se(s1: int, s2: int, n: int) -> float:
     return math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1)))
 
 
-def mc_power(proc: Procedure, model: AlternativeModel,
-             cfg: McConfig) -> dict[str, tuple[float, float]]:
-    """Monte Carlo oracle for the same four measures: (mean, SE) each.
+def mc_powers(procs: Sequence[Procedure], model: AlternativeModel,
+              cfg: McConfig) -> list[dict[str, tuple[float, float]]]:
+    """Monte Carlo oracle for the four measures of each rule: (mean, SE) each.
 
-    One `mc_estimate` pass decides the alternative and both semi-nulls on
-    the same draws (s_k is semi-null k's decision): it takes the semi-null
-    models (theta1, 0, rho) and (0, theta2, rho), whose z1 and z2 are the
-    alternative's own.  Each block forms the rule's per-coordinate parts
-    (`Procedure._parts`) once per vector, and each model's union once;
-    a semi-null forms only the decision it reports.  Each measure's value,
-    any, (d1 + d2)/2, (s1 + s2)/2 or (any + s1 + s2)/3, sums k indicators
-    over k, so its S1 adds their counts and S2 = S1 + 2 * their overlaps'
-    counts (x^2 = x for a bool): each SE is exact, covariance included.
+    One `mc_estimate` pass decides every rule, the alternative and both
+    semi-nulls on the same draws (s_k is semi-null k's decision): it
+    takes the semi-null models (theta1, 0, rho) and (0, theta2, rho),
+    whose z1 and z2 are the alternative's own, so each block shifts the
+    draw once for all rules.  The pass streams the draw unless the memo
+    of `normal_pairs` holds (seed, reps), so a call holds O(block) draws.
+    Each block forms a rule's per-coordinate parts (`Procedure._parts`)
+    once per vector, and each model's union once; a semi-null forms only
+    the decision it reports.  A rule's eight arrays are counted before
+    the next rule is decided.  Each measure's value, any, (d1 + d2)/2,
+    (s1 + s2)/2 or (any + s1 + s2)/3, sums k indicators over k, so its S1
+    adds their counts and S2 = S1 + 2 * their overlaps' counts (x^2 = x
+    for a bool): each SE is exact, covariance included.
     """
-    def event(z1, x2, y1, z2):
+    def decide(proc, z1, x2, y1, z2):
         # (z1, z2) is the alternative: each vector's parts are formed once,
         # at most two vectors' parts are alive at a time, and the last pair
         # that reads a part may write over it
@@ -209,15 +215,30 @@ def mc_power(proc: Procedure, model: AlternativeModel,
         s1 = p1[0] & proc._in_union(p1, proc._parts(2, x2), spare=2)
         return (hit := d1 | d2), d1, d2, s1, s2, s1 & s2, hit & s1, hit & s2
 
+    def event(*zs):
+        for proc in procs:
+            yield from decide(proc, *zs)
+
     models = (_semi_null(model, 1), _semi_null(model, 2))
-    hit, d1, d2, s1, s2, s12, hit_s1, hit_s2 = mc_estimate(event, models, cfg)
-    n = cfg.reps
-    means = _measures(hit / n, 0.5 * ((d1 + d2) / n), s1 / n, s2 / n)
-    # (k, S1, overlaps) of each measure; d1 & d2 holds d1 + d2 - hit times
-    parts = {"pi_any": (1, hit, 0), "pi_avg": (2, d1 + d2, d1 + d2 - hit),
-             "pi_1": (2, s1 + s2, s12),
-             "pi_combo": (3, hit + s1 + s2, hit_s1 + hit_s2 + s12)}
-    return {m: (means[m], _se(s, s + 2 * o, n) / k) for m, (k, s, o) in parts.items()}
+    counts, n, reports = mc_estimate(event, models, cfg), cfg.reps, []
+    for r in range(0, len(counts), 8):     # each rule's eight counts
+        hit, d1, d2, s1, s2, s12, hit_s1, hit_s2 = counts[r:r + 8]
+        means = _measures(hit / n, 0.5 * ((d1 + d2) / n), s1 / n, s2 / n)
+        # (k, S1, overlaps) of each measure; d1 & d2 holds d1 + d2 - hit times
+        parts = {"pi_any": (1, hit, 0), "pi_avg": (2, d1 + d2, d1 + d2 - hit),
+                 "pi_1": (2, s1 + s2, s12),
+                 "pi_combo": (3, hit + s1 + s2, hit_s1 + hit_s2 + s12)}
+        reports.append({m: (means[m], _se(s, s + 2 * o, n) / k)
+                        for m, (k, s, o) in parts.items()})
+    return reports
+
+
+def mc_power(proc: Procedure, model: AlternativeModel,
+             cfg: McConfig) -> dict[str, tuple[float, float]]:
+    """`mc_powers` of one rule, on the draw that `normal_pairs` keeps, so
+    that callers asking for one rule at a time draw once per (seed, reps)."""
+    normal_pairs(cfg.seed, cfg.reps)
+    return mc_powers((proc,), model, cfg)[0]
 
 
 # ----------------------------------------------------------------------

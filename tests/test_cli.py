@@ -7,9 +7,10 @@ import pytest
 
 from conftest import time_limit
 
-from omt2 import (ConfigError, DegenerateVariance, DomainError, MaxIterations,
-                  NoBracket, Omt2Error, ToleranceNotMet, Unachievable,
-                  UnsupportedModel)
+from omt2 import (MEASURES, AlternativeModel, ConfigError, DegenerateVariance,
+                  DomainError, MaxIterations, McConfig, NoBracket, Omt2Error,
+                  QuadratureConfig, ToleranceNotMet, Unachievable,
+                  UnsupportedModel, mc_power)
 from omt2.cli import main
 import omt2.cli as cli_mod
 
@@ -146,6 +147,31 @@ class TestPowerCommand:
                          "--theta2", "-2", "--mc", *bad])
         assert code == 2
         assert out == ""
+
+    def test_bad_mc_config_fails_without_mc(self, capsys):
+        # the Monte Carlo settings are checked whether or not --mc is set
+        code, out = run(["power", "--proc", "hommel", "--theta1", "-2",
+                         "--theta2", "-2", "--reps", "5", "--seed", "-3"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == ("configuration error: reps must be an integer "
+                                           "in [10000, 67108864], got 5\n")
+
+    def test_mc_lines_match_mc_power(self, monkeypatch):
+        # all eight columns, decided in one pass, print what one mc_power
+        # call per column gives
+        monkeypatch.delenv(cli_mod.QUAD_PROFILE_ENV, raising=False)
+        code, out = run(["power", "--procedures", "all", "--theta1", "-2.5",
+                         "--theta2", "-3", "--mc", "--reps", "20001", "--seed", "3"])
+        assert code == 0
+        cols = cli_mod._power_columns("all", 0.025, -2.5, -3.0, QuadratureConfig())
+        model, mcc = AlternativeModel(-2.5, -3.0), McConfig(20001, 3)
+        want = []
+        for name, rule in cols:
+            est = mc_power(rule, model, mcc)
+            want.append(f"  {name}: " + " ".join(
+                f"{m}={est[m][0]:.4f}(se {est[m][1]:.1e})" for m in MEASURES))
+        assert len(want) == 8
+        assert out.split("monte carlo (mean, se):\n")[1].splitlines() == want
 
     def test_design_arm_calibration(self):
         code, out = run(["power", "--proc", "hommel", "--design-arm", "1200"])
@@ -660,6 +686,37 @@ def python_m_omt2():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return [sys.executable, "-m", "omt2"], env
+
+
+# runs argv[1:] as a child, on at most two CPUs (so that it runs at most
+# two Monte Carlo blocks at a time), and prints its peak resident set
+RSS_PROBE = """
+import os, resource, subprocess, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestMcMemory:
+    def test_power_mc_holds_less_than_one_full_length_array(self):
+        # power --mc streams the draw: at 4e6 reps one float64 array of
+        # reps values is 32 MB, and a run that kept the draw would hold two
+        import subprocess
+        import sys
+        exe, env = python_m_omt2()
+
+        def peak_bytes(argv):
+            done = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv],
+                                  capture_output=True, text=True, timeout=300, env=env)
+            assert done.returncode == 0, done.stderr
+            # ru_maxrss is in bytes on macOS, in KiB elsewhere
+            return int(done.stdout) * (1 if sys.platform == "darwin" else 1024)
+        base = peak_bytes([sys.executable, "-c", "import omt2"])
+        run_mc = peak_bytes(exe + ["power", "--proc", "hommel", "--theta1", "-2",
+                                   "--theta2", "-2", "--mc", "--reps", "4000000"])
+        assert run_mc - base < 4_000_000 * 8
 
 
 class TestSaturatedScore:

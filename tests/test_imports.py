@@ -103,15 +103,16 @@ def test_both_thresholds_share_one_calibration():
 
 
 def test_mc_estimate_has_one_caller():
-    # one Monte Carlo pass decides every model of a power estimate
-    assert callers_in_src("mc_estimate") == ["power_design.mc_power"]
+    # one Monte Carlo pass decides every rule and model of a power estimate
+    assert callers_in_src("mc_estimate") == ["power_design.mc_powers"]
 
 
 def test_parts_have_one_caller_besides_decide_z():
-    # decide_z is the one decision path; only mc_power's event takes a
-    # rule's per-coordinate parts apart, to form each vector's parts once
+    # decide_z is the one decision path; only mc_powers' per-rule event
+    # takes a rule's per-coordinate parts apart, to form each vector's
+    # parts once
     assert sorted(set(callers_in_src("_parts"))) == [
-        "power_design.mc_power.event", "procedures.Procedure.decide_z"]
+        "power_design.mc_powers.decide", "procedures.Procedure.decide_z"]
 
 
 def test_no_module_imports_a_private_name():
@@ -135,6 +136,8 @@ omt2.evaluate_power(rule, model)
 counts.append(threading.active_count())
 omt2.mc_power(rule, model, omt2.McConfig(reps=100_000))
 counts.append(threading.active_count())
+omt2.mc_powers([rule, omt2.bonferroni(0.025)], model, omt2.McConfig(reps=100_000, seed=1))
+counts.append(threading.active_count())
 print(counts)
 """
 
@@ -146,4 +149,4 @@ def test_no_thread_at_import_or_after_a_call():
     run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[1, 1, 1, 1]"
+    assert run.stdout.strip() == "[1, 1, 1, 1, 1]"

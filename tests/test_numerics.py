@@ -139,6 +139,20 @@ class TestSplitmix64:
         assert hashlib.sha256(zz1.tobytes() + zz2.tobytes()).hexdigest() == (
             "8d7ee9b9a0820a499d3c3a02b240885cb50f36981afb3567306b6ce1fb4964a6")
 
+    def test_block_draws_are_the_memos_slices(self, fresh_draws):
+        # a full block and a short one, drawn inside the block as a streamed
+        # pass draws them: byte-equal to normal_pairs' slices, and read-only
+        seed, reps, step = 20260810, 3 * (1 << 15) + 17, omt2.numerics._BLOCK
+        blocks = [omt2.numerics._normal_block(seed, reps, lo)
+                  for lo in range(0, reps, step)]
+        assert [len(b1) for b1, _ in blocks] == [step, reps - step]
+        zz = normal_pairs(seed, reps)
+        for k in (0, 1):
+            assert np.concatenate([b[k] for b in blocks]).tobytes() == zz[k].tobytes()
+        for z in (z for b in blocks for z in b):
+            with pytest.raises(ValueError):
+                z[0] = 0.0
+
     def test_stream_is_counter_addressable(self):
         whole = splitmix64(7, 0, 100)
         tail = splitmix64(7, 40, 60)

@@ -19,8 +19,9 @@ from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DegenerateVariance,
                   DomainError, McConfig, ObjectiveSpec, Procedure,
                   TwoArmDesign, Unachievable, allocation_search, bonferroni,
                   build_bittman, build_omt, closed_stouffer, evaluate_power,
-                  fixed_sequence, hommel, mc_power, observed_pvalue,
-                  required_n_for_power, savings_report, std_normal_cdf,
+                  fixed_sequence, hommel, mc_power, mc_powers, normal_pairs,
+                  observed_pvalue, required_n_for_power, savings_report,
+                  std_normal_cdf,
                   std_normal_quantile, theta_for_group, theta_from_design,
                   theta_from_marginal_power)
 
@@ -267,6 +268,26 @@ class TestEvaluatePower:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_mc_powers_streams_in_block_memory(self, quad_cfg, monkeypatch):
+        # the five benchmark columns in one pass, two workers and an empty
+        # memo: the memo stays empty, and the peak does not grow with reps
+        monkeypatch.setattr(omt2.numerics, "_worker_count", lambda: 2)
+        model = AlternativeModel(-2.0, -2.5)
+        rules = [build_omt(measure_spec(m, model, ALPHA), quad_cfg)
+                 for m in ("pi_avg", "pi_1", "pi_combo")]
+        rules += [closed_stouffer(ALPHA), hommel(ALPHA)]
+        peaks = []
+        for reps in (1_000_000, 4_000_000):
+            normal_pairs.cache_clear()
+            tracemalloc.start()
+            try:
+                mc_powers(rules, model, McConfig(reps=reps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert omt2.numerics._draws == {}
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
     @pytest.mark.parametrize("theta1, rho", [(-2.0, 0.0), (-2.0, 0.5), (0.0, 0.0),
                                              (0.0, 0.5)])
     def test_mc_power_passes_the_two_semi_nulls(self, theta1, rho, monkeypatch):
@@ -419,12 +440,16 @@ class TestMcPowerBits:
     """Every `mc_power` mean and SE, pinned bit for bit by one digest of
     their reprs: each builtin kind and five omt weight sets, on models with
     and without correlation and with a zero first shift, at two seeds of
-    two blocks each."""
+    two blocks each.  `mc_powers`, one streamed pass over all ten rules,
+    reaches the same digest."""
 
     WEIGHTS = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                (1.0 / 3.0, 0.0, 2.0 / 3.0), (0.2, 0.3, 0.5)]
+    SEEDS = (3, 4)
+    DIGEST = "007b5b0a574c65769ea48d36328bfe3e41b2c4092edeba6037477afe79cc5117"
 
-    def test_digest(self, quad_cfg):
+    @pytest.fixture(scope="class")
+    def cases(self, quad_cfg):
         spec_model = AlternativeModel(-2.0, -2.5)
         rules = [bonferroni(ALPHA), hommel(ALPHA), closed_stouffer(ALPHA),
                  build_bittman(ALPHA, quad_cfg), fixed_sequence(ALPHA)]
@@ -432,14 +457,32 @@ class TestMcPowerBits:
                   for w in self.WEIGHTS]
         models = [AlternativeModel(t1, -2.5, rho) for t1 in (-2.0, 0.0)
                   for rho in (0.0, 0.5)]
+        return rules, models
+
+    def test_digest(self, cases):
+        rules, models = cases
         digest = hashlib.sha256()
-        for seed in (3, 4):
+        for seed in self.SEEDS:
             cfg = McConfig(reps=70_001, seed=seed)
             for rule in rules:
                 for model in models:
                     digest.update(repr(mc_power(rule, model, cfg)).encode())
-        assert digest.hexdigest() == (
-            "007b5b0a574c65769ea48d36328bfe3e41b2c4092edeba6037477afe79cc5117")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_mc_powers_digest(self, cases):
+        # one streamed call per seed and model, hashed in the order above
+        rules, models = cases
+        digest = hashlib.sha256()
+        for seed in self.SEEDS:
+            cfg = McConfig(reps=70_001, seed=seed)
+            by_model = []
+            for model in models:
+                normal_pairs.cache_clear()
+                by_model.append(mc_powers(rules, model, cfg))
+            for k in range(len(rules)):
+                for ests in by_model:
+                    digest.update(repr(ests[k]).encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestQuadratureMcAgreement:
