@@ -7,9 +7,8 @@ off-the-shelf procedures, and answer trial-design questions such as
 sample allocation and sample-size savings.
 """
 
-from .errors import (ConfigError, DegenerateVariance, DomainError,
-                     MaxIterations, NoBracket, Omt2Error, ToleranceNotMet,
-                     Unachievable, UnsupportedModel)
+from .errors import (ConfigError, DomainError, Omt2Error, ToleranceNotMet,
+                     Unachievable)
 from .gauss import AlternativeModel, std_normal_cdf, std_normal_quantile
 from .numerics import (McConfig, QuadratureConfig, bisect, mc_estimate,
                        normal_pairs)

@@ -29,10 +29,9 @@ import math
 import os
 import sys
 
-from .errors import (ConfigError, DegenerateVariance, DomainError,
-                     MaxIterations, NoBracket, Omt2Error, ToleranceNotMet,
-                     Unachievable, UnsupportedModel)
-from .gauss import AlternativeModel
+from .errors import (ConfigError, DomainError, Omt2Error, ToleranceNotMet,
+                     Unachievable)
+from .gauss import AlternativeModel, check_alpha
 from .numerics import McConfig, QuadratureConfig, check_count
 from .objective import ObjectiveSpec
 from .power_design import (MEASURE_WEIGHTS, MEASURES, allocation_search,
@@ -56,9 +55,8 @@ _PROFILES = {
 _MEASURE_NAMES = {**{m: m for m in MEASURES}, "pi1": "pi_1", "combo": "pi_combo"}
 
 # (error classes, exit code, stderr label); the first matching row wins
-_EXIT_CODES = (((ConfigError, DomainError, DegenerateVariance, UnsupportedModel),
-                2, "configuration error"),
-               ((ToleranceNotMet, NoBracket, MaxIterations), 3, "numerical failure"),
+_EXIT_CODES = (((ConfigError, DomainError), 2, "configuration error"),
+               (ToleranceNotMet, 3, "numerical failure"),
                (Unachievable, 4, "unachievable target"),
                (Omt2Error, 3, "error"))
 
@@ -496,6 +494,11 @@ def _run(argv: list[str] | None, out) -> int:
         cfg = resolve(args, keys)
         qcfg = _choose(_PROFILES, cfg["quad_profile"], "quadrature profile")
         if args.dump_config:
+            # the run's own checks of alpha, reps and seed, so that a dump
+            # never writes a value the same command refuses
+            check_alpha(cfg["alpha"])
+            if "reps" in cfg:
+                McConfig(reps=cfg["reps"], seed=cfg["seed"])
             dump_config(cfg, out)
             return 0
         return command(cfg, qcfg, out)

@@ -1,4 +1,4 @@
-"""Semantic exception types shared across the package."""
+"""Semantic exception types shared across the package: one per outcome."""
 
 
 class Omt2Error(Exception):
@@ -13,24 +13,8 @@ class ToleranceNotMet(Omt2Error, ArithmeticError):
     """A numerical routine could not certify the requested tolerance."""
 
 
-class NoBracket(Omt2Error, ValueError):
-    """Root finding was started on an interval that does not bracket a root."""
-
-
-class MaxIterations(Omt2Error, ArithmeticError):
-    """An iterative solver hit its iteration cap before converging."""
-
-
-class UnsupportedModel(Omt2Error, ValueError):
-    """The requested construction is not defined for this alternative model."""
-
-
 class Unachievable(Omt2Error, ValueError):
     """The requested target cannot be reached within the search bounds."""
-
-
-class DegenerateVariance(Omt2Error, ValueError):
-    """Observed proportions of 0 or 1 leave the test statistic undefined."""
 
 
 class ConfigError(Omt2Error, ValueError):

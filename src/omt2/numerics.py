@@ -77,7 +77,7 @@ import numpy as np
 # kernel that the benchmark tracer rebinds and its tests assert
 from scipy.special import ndtr  # noqa: F401
 
-from .errors import DomainError, MaxIterations, NoBracket
+from .errors import DomainError, ToleranceNotMet
 from .gauss import AlternativeModel, std_normal_quantile
 
 __all__ = [
@@ -198,8 +198,8 @@ def bisect(g: Callable[[float], float], lo: float, hi: float,
            tol: float) -> float:
     """Root of a monotone function by bisection.
 
-    Returns t with ``|g(t)| <= tol``.  Raises NoBracket if g(lo) and
-    g(hi) have the same sign, MaxIterations if the interval collapses
+    Returns t with ``|g(t)| <= tol``.  Raises DomainError if g(lo) and
+    g(hi) have the same sign, ToleranceNotMet if the interval collapses
     to floating-point resolution without meeting the tolerance.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
@@ -212,7 +212,7 @@ def bisect(g: Callable[[float], float], lo: float, hi: float,
     if abs(ghi) <= tol:
         return hi
     if math.copysign(1.0, glo) == math.copysign(1.0, ghi):
-        raise NoBracket(f"g({lo})={glo:.3g} and g({hi})={ghi:.3g} have the same sign")
+        raise DomainError(f"g({lo})={glo:.3g} and g({hi})={ghi:.3g} have the same sign")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
@@ -224,8 +224,8 @@ def bisect(g: Callable[[float], float], lo: float, hi: float,
             hi = mid
         if hi - lo <= abs(mid) * 4e-16 + 1e-300:
             break  # interval at float resolution; |g| never met the tolerance
-    raise MaxIterations(f"no root with |g| <= {tol:g} after bisection "
-                        f"refined [{lo}, {hi}] to floating-point resolution")
+    raise ToleranceNotMet(f"no root with |g| <= {tol:g} after bisection "
+                          f"refined [{lo}, {hi}] to floating-point resolution")
 
 
 # ----------------------------------------------------------------------

@@ -40,8 +40,8 @@ column, `score_cut` (the ray of z2 where s > t) and `score_kinks` (the
 z1 values where it changes branch) for the quadrature.  The pieces, za
 and e2 at z2 = za live on the spec, derived once.
 
-Scores are only defined for independent p-values (rho = 0); requesting
-one for a correlated model raises UnsupportedModel.
+Scores are only defined for independent p-values (rho = 0); a spec for
+a correlated model is refused when it is built (DomainError).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedModel
+from .errors import DomainError
 from .gauss import LOG_MAX, REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
 
 __all__ = ["ObjectiveSpec", "score_z", "score_cut", "score_kinks"]
@@ -66,7 +66,8 @@ class ObjectiveSpec:
     Weights must lie in [0, 1] and sum to 1 within 1e-12; they are stored
     as Python floats, so a numpy weight gives the same arithmetic.  Both
     shifts must be strictly negative (theta = 0 is the boundary null and
-    gives a degenerate score) and alpha must lie in (0, 0.5].
+    gives a degenerate score), the model independent (rho = 0), and alpha
+    must lie in (0, 0.5].
 
     The score's geometry is derived once, and left out of equality, hash
     and repr: ``za`` = quantile(alpha), ``ea2`` = exp(theta2*za -
@@ -99,6 +100,9 @@ class ObjectiveSpec:
             raise DomainError(
                 "score alternatives need strictly negative shifts, got "
                 f"({self.model.theta1}, {self.model.theta2})")
+        if self.model.rho != 0.0:
+            raise DomainError(
+                "scores are defined for independent p-values only (rho = 0)")
         w_any, w_avg, w_one = self.weights
         t2, za = self.model.theta2, alpha_lines(self.alpha)[0]
         f2 = t2 * za - 0.5 * t2 * t2
@@ -125,12 +129,6 @@ def _lr_z(theta: float, z: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _require_independent(spec: ObjectiveSpec) -> None:
-    if spec.model.rho != 0.0:
-        raise UnsupportedModel(
-            "scores are defined for independent p-values only (rho = 0)")
-
-
 def score_parts(spec: ObjectiveSpec, k: int, z) -> tuple:
     """Coordinate k's part of the score at the 1-D z-scores z.
 
@@ -141,7 +139,6 @@ def score_parts(spec: ObjectiveSpec, k: int, z) -> tuple:
     since no pair term is then added to it.  `score_pair` combines two
     such parts, and writes over one only when its caller names it spare.
     """
-    _require_independent(spec)
     z = np.asarray(z, dtype=float)
     w_any, w_avg, w_one = spec.weights
     ind = z <= spec.za

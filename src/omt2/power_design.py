@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DegenerateVariance, DomainError, Unachievable
+from .errors import DomainError, Unachievable
 from .gauss import (REAL_TYPES, AlternativeModel, alpha_lines, check_alpha,
                     std_normal_cdf, std_normal_quantile)
 from .numerics import (McConfig, QuadratureConfig, check_count, mc_estimate,
@@ -109,7 +109,8 @@ def theta_from_design(d: TwoArmDesign) -> float:
 
 def observed_pvalue(events_control: int, n_control: int,
                     events_treat: int, n_treat: int) -> float:
-    """One-sided p-value for observed counts, unpooled normal approximation."""
+    """One-sided p-value for observed counts, unpooled normal approximation;
+    DomainError for an observed proportion of 0 or 1, where it is undefined."""
     for ev, n, tag in ((events_control, n_control, "control"),
                        (events_treat, n_treat, "treat")):
         n = check_count(f"n_{tag}", n, 1)
@@ -117,8 +118,8 @@ def observed_pvalue(events_control: int, n_control: int,
     pc = events_control / n_control
     pt = events_treat / n_treat
     if pc in (0.0, 1.0) or pt in (0.0, 1.0):
-        raise DegenerateVariance("observed proportion of 0 or 1 leaves the "
-                                 "z-statistic undefined")
+        raise DomainError("observed proportion of 0 or 1 leaves the "
+                          "z-statistic undefined")
     return std_normal_cdf(theta_from_design(TwoArmDesign(pc, pt, n_control, n_treat)))
 
 
@@ -320,9 +321,16 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
 # Sample-size search and savings
 # ----------------------------------------------------------------------
 
+# Rules that coincide give powers that differ by quadrature rounding
+# (2.03e-11 for hommel against the optimal pi_1 rule at marginal power
+# 0.5), so a power this close below the target reaches it.
+_N_TIE_TOL = 1e-9
+
+
 def required_n_for_power(power_of_n: Callable[[int], float], target: float,
                          n_lo: int = 4, n_cap: int = 200_000) -> int:
-    """Smallest integer N with power_of_n(N) >= target.
+    """Smallest integer N with power_of_n(N) >= target - _N_TIE_TOL (1e-9),
+    so an exact tie is decided as one, not by rounding noise.
 
     Requires power nondecreasing in N.  Bisection on the integer grid,
     then a local downward scan to pin the minimum; Unachievable if the
@@ -334,18 +342,19 @@ def required_n_for_power(power_of_n: Callable[[int], float], target: float,
         if target >= 1.0:
             raise Unachievable("power strictly below 1 for any finite N")
         raise DomainError(f"target must be in [0, 1), got {target!r}")
-    if power_of_n(n_lo) >= target:
+    reach = target - _N_TIE_TOL
+    if power_of_n(n_lo) >= reach:
         return n_lo
-    if power_of_n(n_cap) < target:
+    if power_of_n(n_cap) < reach:
         raise Unachievable(f"target {target:.4f} not reached by N={n_cap}")
     lo, hi = n_lo, n_cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if power_of_n(mid) >= target:
+        if power_of_n(mid) >= reach:
             hi = mid
         else:
             lo = mid
-    while hi - 1 > n_lo and power_of_n(hi - 1) >= target:
+    while hi - 1 > n_lo and power_of_n(hi - 1) >= reach:
         hi -= 1
     return hi
 

@@ -7,10 +7,9 @@ import pytest
 
 from conftest import time_limit
 
-from omt2 import (MEASURES, AlternativeModel, ConfigError, DegenerateVariance,
-                  DomainError, MaxIterations, McConfig, NoBracket, Omt2Error,
-                  QuadratureConfig, ToleranceNotMet, Unachievable,
-                  UnsupportedModel, mc_power)
+from omt2 import (MEASURES, AlternativeModel, ConfigError, DomainError,
+                  McConfig, Omt2Error, QuadratureConfig, ToleranceNotMet,
+                  Unachievable, mc_power)
 from omt2.cli import main
 import omt2.cli as cli_mod
 
@@ -382,6 +381,18 @@ class TestSavingsCommand:
         assert code == 0
         assert "relative saving" in out
 
+    @pytest.mark.parametrize("alpha, power", [("0.025", "0.3920"),
+                                              ("0.05", "0.3825")])
+    def test_exact_tie_keeps_n(self, alpha, power):
+        # at marginal power 0.5 the optimal pi_1 rule is hommel's, and the
+        # two powers differ only by rounding (2.03e-11 at alpha 0.025)
+        code, out = run(["savings", "--measure", "pi_1", "--N", "4800",
+                         "--beta", "0.5", "--alpha", alpha])
+        assert code == 0
+        assert f"baseline (hommel) power at N=4800: {power}\n" in out
+        assert out.endswith("baseline needs N = 4800 for the same power\n"
+                            "relative saving: 0.00%\n")
+
     def test_unachievable_exit_code(self):
         code, _ = run(["savings", "--measure", "pi_any", "--N", "4800",
                        "--n-cap", "4801"])
@@ -469,6 +480,25 @@ class TestConfigHandling:
         assert dumped == ""
         assert "would not read back" in capsys.readouterr().err
 
+    HOMMEL_POWER = ["power", "--proc", "hommel", "--theta1", "-2", "--theta2", "-2"]
+
+    @pytest.mark.parametrize("argv, err", [
+        (HOMMEL_POWER + ["--reps", "5", "--seed", "-3"],
+         "reps must be an integer in [10000, 67108864], got 5"),
+        (HOMMEL_POWER + ["--seed", "-3"],
+         "seed must be an integer in [0, 18446744073709551615], got -3"),
+        *[(argv + ["--alpha", "7"], "alpha must be in (0, 0.5], got 7.0")
+          for argv in (["region", "--out", "-"], HOMMEL_POWER,
+                       ["allocate", "--N", "100", "--grid", "0.5", "--out", "-"],
+                       ["apex"], ["savings"])],
+    ], ids=["reps", "seed", "alpha_region", "alpha_power", "alpha_allocate",
+            "alpha_apex", "alpha_savings"])
+    def test_dump_config_refuses_what_the_run_refuses(self, argv, err, capsys):
+        # the run's own alpha, reps and seed checks come before the dump
+        for dump in ([], ["--dump-config"]):
+            assert run(argv + dump) == (2, "")
+            assert capsys.readouterr().err == f"configuration error: {err}\n"
+
     def test_config_file_with_comments(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# settings\nproc = hommel\ntheta1 = -2.0\n"
@@ -518,11 +548,7 @@ class TestConfigHandling:
 
     EXITS = [(ConfigError, 2, "configuration error"),
              (DomainError, 2, "configuration error"),
-             (DegenerateVariance, 2, "configuration error"),
-             (UnsupportedModel, 2, "configuration error"),
              (ToleranceNotMet, 3, "numerical failure"),
-             (NoBracket, 3, "numerical failure"),
-             (MaxIterations, 3, "numerical failure"),
              (Omt2Error, 3, "error"),
              (Unachievable, 4, "unachievable target")]
 
@@ -644,7 +670,12 @@ class TestFloatEdges:
         (["region", "--proc", "bittman", "--alpha", "1e-22", "--grid", "16",
           "--out", "-"],
          "alpha=1e-22 is below what the null quadrature over z1 in +-9.5 resolves"),
-    ], ids=["underflowed_t", "omt_below_floor", "bittman_below_floor"])
+        (["power", "--proc", "omt", "--objective", "pi_any", "--theta1=-40",
+          "--theta2=-8.5"],
+         "no root with |g| <= 1e-10 after bisection refined [-745.1332191019412, "
+         "-745.1332191019411] to floating-point resolution"),
+    ], ids=["underflowed_t", "omt_below_floor", "bittman_below_floor",
+            "collapsed_bisection"])
     def test_unresolvable_threshold_exits_3(self, argv, cause, capsys):
         assert run(argv) == (3, "")
         assert capsys.readouterr().err == f"numerical failure: {cause}\n"

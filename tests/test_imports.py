@@ -8,7 +8,9 @@ the import nor a call leaves a thread behind.  Quadrature nodes have one
 builder in the package, so a second panel path cannot come back unseen;
 both level-alpha thresholds are solved through one calibration helper;
 and a rule's per-coordinate decision parts have one caller besides
-``decide_z``.  No module imports another module's underscore name.
+``decide_z``.  No module imports another module's underscore name.  Each
+error class is raised in the package and has its own exit-code row, so a
+class with no outcome of its own cannot come back unseen.
 """
 
 import ast
@@ -20,6 +22,9 @@ import subprocess
 import sys
 
 import pytest
+
+import omt2.cli
+import omt2.errors
 
 tomllib = pytest.importorskip("tomllib")   # standard library from 3.11
 
@@ -113,6 +118,30 @@ def test_parts_have_one_caller_besides_decide_z():
     # parts once
     assert sorted(set(callers_in_src("_parts"))) == [
         "power_design.mc_powers.decide", "procedures.Procedure.decide_z"]
+
+
+def test_each_error_class_is_raised_and_has_one_exit_row():
+    # one error type per outcome: every class is raised, each sits in one
+    # exit-code row, and no two that the library raises (all but the CLI's
+    # ConfigError) share a row; Omt2Error is the base and the last row
+    classes = [c for c in vars(omt2.errors).values() if isinstance(c, type)
+               and c.__module__ == "omt2.errors" and c is not omt2.errors.Omt2Error]
+    raised = {}     # class name -> modules that raise it
+    for path in sorted((ROOT / "src" / "omt2").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                f = node.exc.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                raised.setdefault(name, set()).add(path.stem)
+    assert [c.__name__ for c in classes if c.__name__ not in raised] == []
+    rows = [types if isinstance(types, tuple) else (types,)
+            for types, _, _ in omt2.cli._EXIT_CODES]
+    assert {c.__name__: sum(c in row for row in rows) for c in classes} == {
+        c.__name__: 1 for c in classes}
+    assert rows[-1] == (omt2.errors.Omt2Error,)
+    library = [next(i for i, row in enumerate(rows) if c in row) for c in classes
+               if raised[c.__name__] - {"cli"}]
+    assert len(library) == len(set(library)) == 3
 
 
 def test_no_module_imports_a_private_name():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import lr_density, measure_spec, score
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
-                  ObjectiveSpec, Procedure, UnsupportedModel, score_z)
+                  ObjectiveSpec, Procedure, score_z)
 from omt2.gauss import alpha_lines
 
 ALPHA = 0.025
@@ -55,10 +55,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             measure_spec("pi_1", AlternativeModel(0.0, -2.0), ALPHA)
 
-    def test_correlated_model_rejected_at_use(self):
-        spec = measure_spec("pi_1", AlternativeModel(-2.0, -2.0, 0.4), ALPHA)
-        with pytest.raises(UnsupportedModel):
-            score(spec, (0.01, 0.01))
+    def test_correlated_model_rejected_at_construction(self):
+        # checked once, when the spec is built, not at every score
+        with pytest.raises(DomainError, match=r"independent p-values only"):
+            measure_spec("pi_1", AlternativeModel(-2.0, -2.0, 0.4), ALPHA)
 
 
 class TestSpecGeometry:

@@ -15,13 +15,12 @@ import omt2.numerics
 import omt2.power_design
 from conftest import (bool_mean_se, exact_se_squared, exact_sums, measure_spec,
                       shifted, whole_draws, whole_sample_mc_estimate)
-from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DegenerateVariance,
-                  DomainError, McConfig, ObjectiveSpec, Procedure,
-                  TwoArmDesign, Unachievable, allocation_search, bonferroni,
-                  build_bittman, build_omt, closed_stouffer, evaluate_power,
-                  fixed_sequence, hommel, mc_power, mc_powers, normal_pairs,
-                  observed_pvalue, required_n_for_power, savings_report,
-                  std_normal_cdf,
+from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError, McConfig,
+                  ObjectiveSpec, Procedure, TwoArmDesign, Unachievable,
+                  allocation_search, bonferroni, build_bittman, build_omt,
+                  closed_stouffer, evaluate_power, fixed_sequence, hommel,
+                  mc_power, mc_powers, normal_pairs, observed_pvalue,
+                  required_n_for_power, savings_report, std_normal_cdf,
                   std_normal_quantile, theta_for_group, theta_from_design,
                   theta_from_marginal_power)
 
@@ -89,10 +88,9 @@ class TestObservedPvalue:
         assert observed_pvalue(50, 1000, 50, 1000) == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
-            observed_pvalue(0, 100, 5, 100)
-        with pytest.raises(DegenerateVariance):
-            observed_pvalue(5, 100, 100, 100)
+        for counts in ((0, 100, 5, 100), (5, 100, 100, 100)):
+            with pytest.raises(DomainError, match="observed proportion of 0 or 1"):
+                observed_pvalue(*counts)
 
     def test_count_domain(self):
         with pytest.raises(DomainError):
@@ -654,6 +652,15 @@ class TestRequiredN:
         power = lambda n: 1.0 - math.exp(-n / 500.0)
         n = required_n_for_power(power, 0.8)
         assert power(n) >= 0.8 > power(n - 1)
+
+    def test_rounding_shortfall_is_a_tie(self):
+        # a power 2e-11 below the target, as two coinciding rules give,
+        # reaches it; a shortfall of 1e-8 does not
+        target = 0.39203
+        assert required_n_for_power(
+            lambda n: target - 2e-11 if n >= 4800 else 0.1, target, n_lo=4800) == 4800
+        assert required_n_for_power(
+            lambda n: target - 1e-8 if n < 4801 else target, target, n_lo=4800) == 4801
 
     @pytest.mark.parametrize("n_ref", [0, -4, 3, 4800.0, True])
     def test_savings_reference_size_validation(self, n_ref):

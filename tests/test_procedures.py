@@ -13,7 +13,7 @@ import omt2.procedures
 from conftest import (bool_mean_se, exact_mass, linear_primitive, lr_density,
                       measure_spec, time_limit)
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
-                  ObjectiveSpec, Procedure, ToleranceNotMet, UnsupportedModel,
+                  ObjectiveSpec, Procedure, ToleranceNotMet,
                   bonferroni, build_bittman, build_omt, closed_stouffer,
                   evaluate_power, export_region, fixed_sequence, fwer_global,
                   hommel, hommel_coincidence_bound, mc_estimate, normal_pairs,
@@ -208,10 +208,10 @@ class TestOmtConstruction:
         assert area <= 1.03e-12
         assert proc.decide((1e-3, 0.5)).as_tuple() == (False, False)
 
-    def test_correlated_model_unsupported(self, quad_cfg):
-        spec = measure_spec("pi_1", AlternativeModel(-2.0, -2.0, 0.3), ALPHA)
-        with pytest.raises(UnsupportedModel):
-            build_omt(spec, quad_cfg)
+    def test_correlated_model_unsupported(self):
+        # the spec refuses the model, so no rule is built on it
+        with pytest.raises(DomainError, match=r"independent p-values only"):
+            measure_spec("pi_1", AlternativeModel(-2.0, -2.0, 0.3), ALPHA)
 
     # at (-20, -20) the first low bracket of pi_any and pi_avg still has
     # null mass below alpha, so the solve walks it down (t ~ 1.7e-154)
@@ -327,6 +327,20 @@ class TestCalibrationEdges:
         spec = measure_spec("pi_any", AlternativeModel(-38.5, -19.0), 0.001)
         with pytest.raises(ToleranceNotMet, match=r"underflows to 0$"):
             build_omt(spec, quad_cfg)
+
+    # one spec per way the solve fails: the bisection collapses at float
+    # resolution, the low bracket end runs away, and exp(log t) is 0
+    @pytest.mark.parametrize("theta, alpha, cause", [
+        ((-40.0, -8.5), 0.025, r"^no root with \|g\| <= 1e-10 after bisection"),
+        ((-30.0, -30.0), 0.025, r"^threshold bracket ran away \(low side\)$"),
+        ((-38.5, -19.0), 0.001, r"underflows to 0$"),
+    ], ids=["collapsed", "ran_away", "underflowed"])
+    def test_every_build_failure_is_tolerance_not_met(self, theta, alpha, cause,
+                                                       quad_cfg):
+        spec = measure_spec("pi_any", AlternativeModel(*theta), alpha)
+        with pytest.raises(ToleranceNotMet, match=cause) as failed:
+            build_omt(spec, quad_cfg)
+        assert failed.type is ToleranceNotMet
 
 
 class TestExactMassOracle:
