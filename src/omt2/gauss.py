@@ -10,8 +10,8 @@ Conventions used throughout the package:
   p-value relative to the uniform null is
   ``exp(quantile(p) * theta - theta**2 / 2)``, which is strictly
   decreasing in p for ``theta < 0`` (monotone likelihood ratio).
-- Every level alpha lies in (0, 0.5]; `check_alpha` is the one test of
-  that domain.
+- Every level alpha lies in (0, 0.5] and is a normal float, at least
+  2.2250738585072014e-308; `check_alpha` is the one test of that domain.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ REAL_TYPES = (float, int, np.floating, np.integer)
 
 # Largest argument of math.exp that does not overflow
 LOG_MAX = math.log(np.finfo(float).max)
+
+# Smallest normal float, the least alpha accepted: below it alpha loses
+# precision, and 1e-12 * alpha, which sets where the quadrature's z1 range
+# ends, underflows toward 0
+ALPHA_MIN = float(np.finfo(float).tiny)
 
 # Smallest p-value accepted by decision rules before transforming to a
 # z-score; values below are clamped (densities on the open square only).
@@ -92,9 +97,13 @@ def std_normal_quantile(u):
 
 def check_alpha(alpha) -> float:
     """alpha as a float; DomainError unless it is a real number (numpy
-    scalars included) in (0, 0.5].  A bool, as 0 or 1, lies outside."""
+    scalars included) in (0, 0.5] and not subnormal (below ALPHA_MIN).
+    A bool, as 0 or 1, lies outside."""
     if not (isinstance(alpha, REAL_TYPES) and 0.0 < alpha <= 0.5):
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha!r}")
+    if alpha < ALPHA_MIN:
+        raise DomainError(f"alpha must be at least the smallest normal float "
+                          f"{ALPHA_MIN!r}, got {alpha!r}")
     return float(alpha)
 
 

@@ -11,9 +11,11 @@ the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
 normal CDF and only the outer integral over z1 needs quadrature: fixed
 Gauss-Legendre panels (`panel_nodes`) split at each rule's breakpoints
 (`Procedure.z_breakpoints`), on ``theta1 +- Z_RANGE`` for a model with
-shift theta1.  Every ray integral takes its nodes, weights and column
-cuts from one plan per (rule set, z1 range, config), reused by every
-event and model with that range (`procedures._column_plan`).  A threshold
+shift theta1, the lower end widened for a rule at alpha below about
+1.05e-9 so that it leaves out at most 1e-12 * alpha
+(`procedures.region_mass`).  Every ray integral takes its nodes, weights
+and column cuts from one plan per (rule set, z1 range, config), reused by
+every event and model with that range (`procedures._column_plan`).  A threshold
 solve asks for a new plan at each step, so a plan is built in one pass
 over the nodes: the panel edges of the few segments are plain floats,
 and each rule's cuts take a fixed handful of array operations.  The
@@ -91,7 +93,8 @@ __all__ = [
 
 # Half-width of the z-range used when truncating integrals against a
 # normal weight; phi(9.5) ~ 3e-21 so the truncation error is far below
-# every tolerance used in the package.
+# every tolerance used in the package for alpha >= 1e-9 (below that, the
+# ray integrals widen their lower end with alpha).
 Z_RANGE = 9.5
 
 # Replications per Monte Carlo block: 2^16 float64 values are 512 KB.  The

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .gauss import LOG_MAX, REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
+from .gauss import REAL_TYPES, AlternativeModel, alpha_lines, check_alpha
 
 __all__ = ["ObjectiveSpec", "score_z", "score_cut", "score_kinks"]
 
@@ -71,7 +71,8 @@ class ObjectiveSpec:
 
     The score's geometry is derived once, and left out of equality, hash
     and repr: ``za`` = quantile(alpha), ``ea2`` = exp(theta2*za -
-    theta2^2/2) (inf past `LOG_MAX`, for a subnormal alpha), ``pieces``
+    theta2^2/2) (finite: its exponent is at most za^2/2 < 704, as alpha
+    is not subnormal and so za >= -37.5), ``pieces``
     = the rows (c_g, c_1, c_2) of the square, z1 flank and z2 flank, and
     ``cols`` = a read-only (3, 3, 1) array of their columns c_g, c_1, c_2.
     """
@@ -114,7 +115,7 @@ class ObjectiveSpec:
         cols = np.array(pieces).T[:, :, None].copy()
         cols.setflags(write=False)
         for name, v in (("za", za), ("pieces", pieces), ("cols", cols),
-                        ("ea2", math.inf if f2 > LOG_MAX else math.exp(f2))):
+                        ("ea2", math.exp(f2))):
             object.__setattr__(self, name, v)
 
     @property

@@ -34,8 +34,8 @@ __all__ = [
     "PowerReport", "TwoArmDesign", "AllocationResult", "SavingsReport",
     "MEASURES", "MEASURE_WEIGHTS", "theta_from_design", "observed_pvalue",
     "theta_from_marginal_power", "evaluate_power", "fwer_global",
-    "mc_power", "mc_powers", "allocation_search", "required_n_for_power",
-    "savings_report",
+    "mc_power", "mc_powers", "allocation_plan", "allocation_search",
+    "required_n_for_power", "savings_spec", "savings_report",
 ]
 
 MEASURES = ("pi_avg", "pi_any", "pi_1", "pi_combo")
@@ -273,20 +273,20 @@ def _single_hypothesis_report(theta_funded: float, alpha: float) -> PowerReport:
     return PowerReport(**_measures(beta, 0.5 * beta, beta, 0.0))
 
 
-def allocation_search(n_total: int, weights: tuple[float, float, float],
-                      rate_control: float, rate_treat: float,
-                      r_grid: Sequence[float], alpha: float,
-                      cfg: QuadratureConfig | None = None) -> AllocationResult:
-    """Rebuild and evaluate the objective's optimal rule per split.
+def allocation_plan(n_total: int, weights: tuple[float, float, float],
+                    rate_control: float, rate_treat: float,
+                    r_grid: Sequence[float], alpha: float) -> tuple[list, list]:
+    """The sorted splits of `allocation_search`, each with the ObjectiveSpec
+    of its optimal rule where it funds both groups, else with the funded
+    group's PowerReport (`_single_hypothesis_report`).
 
     Split r funds round(r * n_total) persons for the first group and
     the rest for the second; r in {0, 1} degenerates to testing the
     funded group alone at full level alpha.  A funded group needs two
-    persons, one per arm, so n_total is at least 2 and every split is
-    checked, before any build, to fund no group of one.
+    persons, one per arm, so n_total is at least 2 and no split may fund a
+    group of one.  Every check is made here, before any solve.
     """
     n_total = check_count("n_total", n_total, 2)
-    cfg = cfg or QuadratureConfig()
     alpha = check_alpha(alpha)
     if not r_grid:
         raise DomainError("r_grid must be nonempty")
@@ -298,18 +298,30 @@ def allocation_search(n_total: int, weights: tuple[float, float, float],
         if 1 in (n1, n_total - n1):
             raise DomainError(f"split r={r!r} of n_total={n_total} funds a group "
                               "of 1 person; a funded group needs 2, one per arm")
-    reports = []
+    plan = []
     for n1 in firsts:
         n2 = n_total - n1
         if n1 == 0 or n2 == 0:
-            reports.append(_single_hypothesis_report(
+            plan.append(_single_hypothesis_report(
                 theta_for_group(max(n1, n2), rate_control, rate_treat), alpha))
             continue
         th1 = theta_for_group(n1, rate_control, rate_treat)
         th2 = theta_for_group(n2, rate_control, rate_treat)
-        spec = ObjectiveSpec(*weights, AlternativeModel(th1, th2, 0.0), alpha)
-        proc = build_omt(spec, cfg)
-        reports.append(evaluate_power(proc, spec.model, cfg))
+        plan.append(ObjectiveSpec(*weights, AlternativeModel(th1, th2, 0.0), alpha))
+    return grid, plan
+
+
+def allocation_search(n_total: int, weights: tuple[float, float, float],
+                      rate_control: float, rate_treat: float,
+                      r_grid: Sequence[float], alpha: float,
+                      cfg: QuadratureConfig | None = None) -> AllocationResult:
+    """Rebuild and evaluate the objective's optimal rule per split of
+    `allocation_plan`; a split that funds one group tests it alone."""
+    grid, plan = allocation_plan(n_total, weights, rate_control, rate_treat,
+                                 r_grid, alpha)
+    cfg = cfg or QuadratureConfig()
+    reports = [evaluate_power(build_omt(p, cfg), p.model, cfg)
+               if isinstance(p, ObjectiveSpec) else p for p in plan]
     argmax = {}
     for m in MEASURES:
         vals = [rep.get(m) for rep in reports]
@@ -369,6 +381,26 @@ class SavingsReport:
     saving_pct: float
 
 
+def savings_spec(weights: tuple[float, float, float], n_reference: int,
+                 theta_of_n: Callable[[int], float], alpha: float,
+                 n_cap: int = 200_000) -> ObjectiveSpec:
+    """The objective of `savings_report`'s optimal rule, at the shift of
+    n_reference, once every argument is checked, before any solve: both
+    sizes are at least 4, the search's floor, and the shift at n_cap lies
+    inside the quadrature's (-MAX_SHIFT, MAX_SHIFT)."""
+    n_reference = check_count("n_reference", n_reference, 4)
+    n_cap = check_count("n_cap", n_cap, 4)
+    try:
+        th_cap = theta_of_n(n_cap)
+    except OverflowError:       # an n_cap past the float range
+        th_cap = -math.inf
+    if not abs(th_cap) < MAX_SHIFT:
+        raise DomainError(f"n_cap = {n_cap} implies the shift {th_cap:.6g}, outside "
+                          f"(-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f})")
+    th_ref = theta_of_n(n_reference)
+    return ObjectiveSpec(*weights, AlternativeModel(th_ref, th_ref, 0.0), alpha)
+
+
 def savings_report(measure: str, weights: tuple[float, float, float],
                    n_reference: int, theta_of_n: Callable[[int], float],
                    alpha: float, cfg: QuadratureConfig | None = None,
@@ -379,22 +411,12 @@ def savings_report(measure: str, weights: tuple[float, float, float],
     size, finds the smallest N at which the baseline matches it under
     the same exchangeable calibration theta_of_n, and reports the
     relative saving (N_required - n_reference) / N_required * 100.
-    Both sizes are at least 4, the search's floor, and the shift at
-    n_cap must lie inside the quadrature's (-MAX_SHIFT, MAX_SHIFT).
+    `savings_spec` checks the arguments.
     """
-    n_reference = check_count("n_reference", n_reference, 4)
-    n_cap = check_count("n_cap", n_cap, 4)
-    try:
-        th_cap = theta_of_n(n_cap)
-    except OverflowError:       # an n_cap past the float range
-        th_cap = -math.inf
-    if not abs(th_cap) < MAX_SHIFT:
-        raise DomainError(f"n_cap = {n_cap} implies the shift {th_cap:.6g}, outside "
-                          f"(-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f})")
+    spec = savings_spec(weights, n_reference, theta_of_n, alpha, n_cap)
+    n_reference, n_cap = int(n_reference), int(n_cap)
     cfg = cfg or QuadratureConfig()
     baseline = hommel(alpha)
-    th_ref = theta_of_n(n_reference)
-    spec = ObjectiveSpec(*weights, AlternativeModel(th_ref, th_ref, 0.0), alpha)
     opt = build_omt(spec, cfg)
     target = evaluate_power(opt, spec.model, cfg).get(measure)
 

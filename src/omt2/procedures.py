@@ -233,6 +233,13 @@ _GLOBAL_NULL = AlternativeModel(0.0, 0.0, 0.0)
 MAX_SHIFT = 2.0 ** 21
 
 
+@functools.lru_cache
+def _z1_reach(alpha: float) -> float:
+    """How far below theta1 a ray integral at level alpha takes z1, so that
+    it leaves out at most 1e-12 * alpha there (Z_RANGE for alpha >= 1.05e-9)."""
+    return max(Z_RANGE, -std_normal_quantile(1e-12 * alpha))
+
+
 def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
                 column_mass: np.ndarray, *procs: Procedure) -> float:
     """N(m1, 1)-weighted panel sum over z1; a NaN cut or threshold raises."""
@@ -277,11 +284,11 @@ def region_mass(proc: Procedure, which: str,
     which: "d1", "d2" or "any" (union).  model=None means the global
     null.  The inner z2 integral is the exact conditional normal CDF at
     the column cut; the outer integral uses Gauss-Legendre panels split
-    at the procedure's breakpoints, over z1 in theta1 +- Z_RANGE, for
-    |theta1| < MAX_SHIFT.  Nodes and cuts are built once per (rule, z1
-    range, config) and reused: the range depends on the model only
-    through theta1, so d1, d2 and "any" under one model, and any two
-    models with the same theta1, share one `_column_plan`.  A plan miss
+    at the procedure's breakpoints, over z1 from theta1 - `_z1_reach`(alpha)
+    to theta1 + Z_RANGE, for |theta1| < MAX_SHIFT.  Nodes and cuts are built
+    once per (rule, z1 range, config) and reused: the range depends on the
+    model only through theta1, so d1, d2 and "any" under one model, and any
+    two models with the same theta1, share one `_column_plan`.  A plan miss
     is one pass over the nodes; a hit costs the inner CDF and the sum.
     """
     if which not in ("d1", "d2", "any"):
@@ -292,7 +299,8 @@ def region_mass(proc: Procedure, which: str,
     if not abs(m1) < MAX_SHIFT:
         raise DomainError(f"theta1 must lie in (-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f}) "
                           f"for the quadrature, got {m1!r}")
-    z1, w, c1, c2 = _column_plan((proc,), m1 - Z_RANGE, m1 + Z_RANGE, cfg)
+    z1, w, c1, c2 = _column_plan((proc,), m1 - _z1_reach(proc.alpha), m1 + Z_RANGE,
+                                 cfg)
     cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
     # no special case; a NaN cut surfaces as a non-finite mass.  For
@@ -311,12 +319,13 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
 
     Per column the disagreement set is the union of at most two
     intervals (one per hypothesis); its null mass is computed exactly
-    and integrated over z1.  Like every ray integral it takes its nodes
-    and cuts from one plan per (rule set, range, config): here the pair's
-    `_column_plan`, at twice the configured panels.
+    and integrated over z1 up to Z_RANGE, from -Z_RANGE - 4 or lower (see
+    `_z1_reach`).  Like every ray integral it takes its nodes and cuts from
+    one plan per (rule set, range, config): the pair's, at twice the panels.
     """
     wide = replace(cfg, panels_per_axis=2 * cfg.panels_per_axis)
-    z1, w, a1, a2, b1, b2 = _column_plan((pa, pb), -Z_RANGE - 4.0, Z_RANGE, wide)
+    lo = min(-Z_RANGE - 4.0, -_z1_reach(min(pa.alpha, pb.alpha)))
+    z1, w, a1, a2, b1, b2 = _column_plan((pa, pb), lo, Z_RANGE, wide)
     lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
     lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
 
@@ -346,20 +355,10 @@ def _bracket_end(g, x: float, step: float, limit: float = LOG_MAX) -> float:
                           f"({'high' if step > 0 else 'low'} side)")
 
 
-# Null mass that `region_mass` leaves out: z1 beyond -Z_RANGE, about 1.05e-21.
-_Z_TAIL = float(ndtr(-Z_RANGE))
-
-
 def _calibrate(g, lo: float, hi: float, alpha: float, cfg: QuadratureConfig) -> float:
     """Root of g = +-(null mass - alpha) on the bracket [lo, hi], to within
-    min(cfg.abs_tol, 1e-10, 0.01 * alpha): the one tolerance of both builds.
-    ToleranceNotMet where that tolerance is not above the null mass the
-    quadrature leaves out (alpha below about 1.05e-19)."""
-    tol = min(cfg.abs_tol, 1e-10, 0.01 * alpha)
-    if not tol > _Z_TAIL:
-        raise ToleranceNotMet(f"alpha={alpha:g} is below what the null quadrature "
-                              f"over z1 in +-{Z_RANGE:g} resolves")
-    return bisect(g, lo, hi, tol=tol)
+    min(cfg.abs_tol, 1e-10, 0.01 * alpha): the one tolerance of both builds."""
+    return bisect(g, lo, hi, tol=min(cfg.abs_tol, 1e-10, 0.01 * alpha))
 
 
 def build_bittman(alpha: float, cfg: QuadratureConfig | None = None) -> Procedure:

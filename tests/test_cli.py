@@ -162,7 +162,8 @@ class TestPowerCommand:
         code, out = run(["power", "--procedures", "all", "--theta1", "-2.5",
                          "--theta2", "-3", "--mc", "--reps", "20001", "--seed", "3"])
         assert code == 0
-        cols = cli_mod._power_columns("all", 0.025, -2.5, -3.0, QuadratureConfig())
+        cols = [(name, build(QuadratureConfig())) for name, build
+                in cli_mod._power_columns("all", 0.025, -2.5, -3.0)]
         model, mcc = AlternativeModel(-2.5, -3.0), McConfig(20001, 3)
         want = []
         for name, rule in cols:
@@ -481,6 +482,7 @@ class TestConfigHandling:
         assert "would not read back" in capsys.readouterr().err
 
     HOMMEL_POWER = ["power", "--proc", "hommel", "--theta1", "-2", "--theta2", "-2"]
+    ALLOCATE = ["allocate", "--N", "100", "--grid", "0.5", "--out", "-"]
 
     @pytest.mark.parametrize("argv, err", [
         (HOMMEL_POWER + ["--reps", "5", "--seed", "-3"],
@@ -488,13 +490,41 @@ class TestConfigHandling:
         (HOMMEL_POWER + ["--seed", "-3"],
          "seed must be an integer in [0, 18446744073709551615], got -3"),
         *[(argv + ["--alpha", "7"], "alpha must be in (0, 0.5], got 7.0")
-          for argv in (["region", "--out", "-"], HOMMEL_POWER,
-                       ["allocate", "--N", "100", "--grid", "0.5", "--out", "-"],
-                       ["apex"], ["savings"])],
+          for argv in (["region", "--out", "-"], HOMMEL_POWER, ALLOCATE, ["apex"],
+                       ["savings"])],
+        (["region", "--grid", "5"], "grid must be an integer in [16, 4096], got 5"),
+        (["region", "--z-lo", "1"],
+         "z_hi - z_lo must be positive and finite, got [1.0, 0.0]"),
+        (["region", "--theta1", "nan"], "theta1 must be a finite number, got nan"),
+        (["region", "--out", ""], "out must name a file, or '-' for stdout"),
+        (["power", "--proc", "hommel", "--design-arm", "0"],
+         "design_arm must be an integer in [1, inf), got 0"),
+        (["power", "--proc", "hommel", "--marginal-power", "0.01"],
+         "marginal_power must be in [alpha, 1), got 0.01"),
+        (HOMMEL_POWER + ["--rho", "1"], "rho must be in (-1, 1), got 1.0"),
+        (["allocate", "--N", "1", "--grid", "0.5"],
+         "N must be an integer in [2, inf), got 1"),
+        (ALLOCATE + ["--rate-treat", "0"], "rate_treat must be in (0, 1), got 0.0"),
+        (["apex", "--n-control1", "0"], "n_control1 must be an integer in [1, inf), got 0"),
+        (["apex", "--events-treat2", "1199"],
+         "events_treat2 must be an integer in [0, 1198], got 1199"),
+        (["apex", "--rate-control", "1.5"], "rate_control must be in (0, 1), got 1.5"),
+        (["apex", "--beta", "1"], "beta must be in [alpha, 1), got 1.0"),
+        (["savings", "--N", "3"], "N must be an integer in [4, inf), got 3"),
+        (["savings", "--n-cap", "3"], "n_cap must be an integer in [4, inf), got 3"),
+        (["savings", "--n-cap", "1" + "0" * 30],
+         "n_cap = 1000000000000000000000000000000 implies the shift -4.32493e+13, "
+         "outside (-2097152, 2097152)"),
+        (ALLOCATE + ["--rate-treat", "0.1"],
+         "score alternatives need strictly negative shifts, got "
+         "(0.3131121455425748, 0.3131121455425748)"),
     ], ids=["reps", "seed", "alpha_region", "alpha_power", "alpha_allocate",
-            "alpha_apex", "alpha_savings"])
+            "alpha_apex", "alpha_savings", "grid", "z_range", "theta1", "out",
+            "design_arm", "marginal_power", "rho", "N_allocate", "rate_treat",
+            "n_control1", "events_treat2", "rate_control", "beta", "N_savings",
+            "n_cap", "n_cap_shift", "allocate_rates"])
     def test_dump_config_refuses_what_the_run_refuses(self, argv, err, capsys):
-        # the run's own alpha, reps and seed checks come before the dump
+        # every key's check, and the command's own, come before the dump
         for dump in ([], ["--dump-config"]):
             assert run(argv + dump) == (2, "")
             assert capsys.readouterr().err == f"configuration error: {err}\n"
@@ -611,7 +641,7 @@ class TestInputBounds:
     def test_region_grid_above_bound(self, grid, capsys):
         assert run(["region", "--proc", "hommel", "--grid", grid, "--out", "-"]) == (2, "")
         assert capsys.readouterr().err == (
-            f"configuration error: grid_size must be an integer in [16, 4096], got {grid}\n")
+            f"configuration error: grid must be an integer in [16, 4096], got {grid}\n")
 
     def test_region_range_width_overflows(self, capsys):
         argv = ["region", "--proc", "hommel", "--grid", "16", "--out", "-"]
@@ -664,21 +694,35 @@ class TestFloatEdges:
         (["region", "--proc", "omt", "--objective", "pi_any", "--alpha", "0.001",
           "--theta1=-38.5", "--theta2=-19", "--grid", "16", "--out", "-"],
          "threshold t = exp(-763.747) underflows to 0"),
-        (["region", "--proc", "omt", "--objective", "pi1", "--theta1", "-3",
-          "--theta2", "-3", "--alpha", "1e-22", "--grid", "16", "--out", "-"],
-         "alpha=1e-22 is below what the null quadrature over z1 in +-9.5 resolves"),
-        (["region", "--proc", "bittman", "--alpha", "1e-22", "--grid", "16",
-          "--out", "-"],
-         "alpha=1e-22 is below what the null quadrature over z1 in +-9.5 resolves"),
         (["power", "--proc", "omt", "--objective", "pi_any", "--theta1=-40",
           "--theta2=-8.5"],
          "no root with |g| <= 1e-10 after bisection refined [-745.1332191019412, "
          "-745.1332191019411] to floating-point resolution"),
-    ], ids=["underflowed_t", "omt_below_floor", "bittman_below_floor",
-            "collapsed_bisection"])
+    ], ids=["underflowed_t", "collapsed_bisection"])
     def test_unresolvable_threshold_exits_3(self, argv, cause, capsys):
         assert run(argv) == (3, "")
         assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--proc", "omt", "--objective", "pi1", "--theta1", "-3", "--theta2", "-3"],
+         "threshold t = 3.37407e+10\n"),
+        (["--proc", "bittman"], "z-sum threshold = -9.84838\n"),
+    ], ids=["omt", "bittman"])
+    def test_small_alpha_region_prints_its_threshold(self, argv, line):
+        # the null integral's z1 range follows alpha, so both solves succeed
+        code, out = run(["region", "--alpha", "1e-22", "--grid", "16", "--out", "-",
+                         *argv])
+        assert code == 0
+        assert line in out
+
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e-310"])
+    def test_subnormal_alpha_exits_2(self, alpha, capsys):
+        argv = ["power", "--proc", "hommel", "--theta1", "-3", "--theta2", "-3"]
+        for dump in ([], ["--dump-config"]):
+            assert run(argv + ["--alpha", alpha] + dump) == (2, "")
+            assert capsys.readouterr().err == (
+                "configuration error: alpha must be at least the smallest normal "
+                f"float 2.2250738585072014e-308, got {float(alpha)!r}\n")
 
     def test_bittman_at_small_alpha_is_recalibrated(self):
         argv = ["region", "--grid", "16", "--out", "-", "--alpha", "1e-10", "--proc"]

@@ -6,7 +6,9 @@ their key's type: every key with each of its tokens alone, then seeded
 random pairs of keys.  Every case must end within its time limit with
 exit code 0, 2, 3 or 4, at most one line on stderr (a numpy warning
 counts as a line), and nothing on stdout unless it succeeded.  The keys
-that size the work are capped, so that no case grows large.
+that size the work are capped, so that no case grows large.  And
+``--dump-config`` of a case exits 2, with the run's message, exactly when
+the run exits 2 (a configuration error).
 """
 
 import contextlib
@@ -69,27 +71,33 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue().splitlines(), [str(w.message) for w in warned]
 
 
-@pytest.mark.parametrize("name", sorted(README_COMMANDS))
-def test_edge_tokens_end_typed(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)      # a token may name the output file
+def _cases(name, tmp_path):
+    """(change, config file) of each case of one README command."""
     argv = README_COMMANDS[name]
-    command = argv[0]
     code, dumped, err, warned = _run(argv + ["--dump-config"])
     assert (code, err, warned) == (0, [], [])
     base = dict(line.split(" = ", 1) for line in dumped.splitlines())
     keys = sorted(base)
     rnd = random.Random(f"{SEED}:{name}")
-    cases = [{key: token} for key in keys for token in _tokens(command, key)]
+    changes = [{key: token} for key in keys for token in _tokens(argv[0], key)]
     for _ in range(PAIRS_PER_COMMAND):
-        cases.append({key: rnd.choice(_tokens(command, key))
-                      for key in rnd.sample(keys, 2)})
-    bad = []
-    for case, change in enumerate(cases):
+        changes.append({key: rnd.choice(_tokens(argv[0], key))
+                        for key in rnd.sample(keys, 2)})
+    for case, change in enumerate(changes):
         path = tmp_path / f"case{case}.cfg"
         path.write_text("".join(f"{k} = {change.get(k, v)}\n" for k, v in base.items()))
+        yield change, str(path)
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_edge_tokens_end_typed(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)      # a token may name the output file
+    command = README_COMMANDS[name][0]
+    bad = []
+    for change, path in _cases(name, tmp_path):
         try:
             with time_limit(10):
-                code, out, err, warned = _run([command, "--config", str(path)])
+                code, out, err, warned = _run([command, "--config", path])
         except Exception as exc:     # a timeout, or a traceback at the command line
             bad.append((change, repr(exc)))
             continue
@@ -97,3 +105,26 @@ def test_edge_tokens_end_typed(name, tmp_path, monkeypatch):
                 or (code != 0 and out)):
             bad.append((change, code, err, warned))
     assert bad == []
+
+
+# The one refusal a dump does not make: the quadrature's bound on |theta1|,
+# which a run meets only where it evaluates a power at the shift.
+QUADRATURE_BOUND = "configuration error: theta1 must lie in ("
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_dump_refuses_exactly_what_the_run_refuses(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command = README_COMMANDS[name][0]
+    bad, refused = [], 0
+    for change, path in _cases(name, tmp_path):
+        with time_limit(20):
+            code, _, err, _ = _run([command, "--config", path])
+            dump_code, _, dump_err, _ = _run([command, "--config", path, "--dump-config"])
+        if code == 2 and err[0].startswith(QUADRATURE_BOUND):
+            continue
+        refused += code == 2
+        if (code == 2) != (dump_code == 2) or (code == 2 and err != dump_err):
+            bad.append((change, code, err, dump_code, dump_err))
+    assert bad == []
+    assert refused > 0

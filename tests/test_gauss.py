@@ -10,7 +10,7 @@ from scipy.integrate import dblquad, quad
 from conftest import lr_density
 from omt2 import (AlternativeModel, DomainError, QuadratureConfig, bonferroni,
                   fwer_global, hommel, std_normal_cdf, std_normal_quantile)
-from omt2.gauss import check_alpha, clamp_pvalue
+from omt2.gauss import ALPHA_MIN, check_alpha, clamp_pvalue
 
 
 def mp_quantile(u: float, dps: int = 50) -> float:
@@ -242,3 +242,10 @@ class TestRealDomain:
     def test_alpha_bools_and_non_numbers_rejected(self, alpha):
         with pytest.raises(DomainError):
             check_alpha(alpha)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, np.nextafter(ALPHA_MIN, 0.0)])
+    def test_subnormal_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match=r"^alpha must be at least the smallest "
+                                              r"normal float 2\.2250738585072014e-308, "):
+            check_alpha(alpha)
+        assert check_alpha(ALPHA_MIN) == ALPHA_MIN == 2.2250738585072014e-308

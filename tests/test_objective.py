@@ -10,7 +10,7 @@ import pytest
 from conftest import lr_density, measure_spec, score
 from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   ObjectiveSpec, Procedure, score_z)
-from omt2.gauss import alpha_lines
+from omt2.gauss import ALPHA_MIN, alpha_lines
 
 ALPHA = 0.025
 MODEL = AlternativeModel(-2.0, -2.0)
@@ -92,10 +92,15 @@ class TestSpecGeometry:
         assert spec.za == alpha_lines(0.05)[0]
         assert spec.ea2 == math.exp(-2.0 * spec.za - 2.0)
 
-    def test_e2_at_za_overflows_to_inf(self):
-        # a subnormal alpha puts za near -38.3, and theta2 = -35 then
-        # takes theta2*za - theta2^2/2 past log(max float)
-        assert ObjectiveSpec(1, 0, 0, AlternativeModel(-1.0, -35.0), 1e-320).ea2 == math.inf
+    def test_e2_at_za_stays_finite_at_every_alpha(self):
+        # theta2 = za maximizes theta2*za - theta2^2/2 at za^2/2; at the
+        # smallest normal alpha that is about 703, below log(max float)
+        za = alpha_lines(ALPHA_MIN)[0]
+        ea2 = ObjectiveSpec(1, 0, 0, AlternativeModel(-1.0, za), ALPHA_MIN).ea2
+        assert ea2 == math.exp(0.5 * za * za) < math.inf
+        # a subnormal alpha, whose za would pass -37.5, is refused
+        with pytest.raises(DomainError, match=r"^alpha must be at least the smallest"):
+            ObjectiveSpec(1, 0, 0, AlternativeModel(-1.0, -35.0), 1e-320)
 
 
 class TestCoefficients:

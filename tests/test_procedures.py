@@ -20,6 +20,7 @@ from omt2 import (MEASURE_WEIGHTS, AlternativeModel, DomainError,
                   region_mass, region_symmetric_difference, score_z,
                   std_normal_quantile, theta_from_marginal_power)
 from omt2 import numerics, objective, power_design, procedures
+from omt2.gauss import ALPHA_MIN
 
 ALPHA = 0.025
 ZA = std_normal_quantile(ALPHA)
@@ -118,7 +119,7 @@ class TestBittman:
         # closed-Stouffer's threshold nor a few percent off the level
         b = build_bittman(alpha, quad_cfg)
         assert b.t_sum != closed_stouffer(alpha).t_sum
-        assert exact_mass(b, "any") == pytest.approx(alpha, rel=0.01)
+        assert exact_mass(b, "any") == pytest.approx(alpha, rel=0.01, abs=0.0)
 
 
 class TestCoincidenceBound:
@@ -243,9 +244,8 @@ class TestOmtBracketEdges:
         ("pi_1", (-1e308, -2.0), ALPHA),       # theta^2/2 overflows: NaN corner
         ("pi_combo", (-2.0, -1e308), ALPHA),
         ("pi_combo", (-1e308, -2.0), ALPHA),
-        ("pi_combo", (-2.0, -38.0), 1e-320),   # ea2's exponent passes log(max)
     ], ids=["corner_inf", "marginal_1e-300", "theta1_max_pi1", "theta2_max",
-            "theta1_max", "subnormal_alpha"])
+            "theta1_max"])
     def test_typed_error_at_once(self, measure, theta, alpha, quad_cfg):
         if theta == "marginal 0.85":
             theta = (theta_from_marginal_power(0.85, alpha),) * 2
@@ -254,6 +254,15 @@ class TestOmtBracketEdges:
             warnings.simplefilter("error")
             with pytest.raises(ToleranceNotMet, match=r"^threshold bracket ran away"):
                 build_omt(spec, quad_cfg)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_bittman(1e-320),
+        lambda: build_omt(measure_spec("pi_combo", AlternativeModel(-2.0, -38.0), 1e-320)),
+        lambda: hommel(5e-324)], ids=["bittman", "omt", "hommel"])
+    def test_subnormal_alpha_is_refused(self, build):
+        # below the smallest normal float the quadrature cannot reach alpha's flank
+        with pytest.raises(DomainError, match=r"^alpha must be at least the smallest"):
+            build()
 
     def test_high_side_stops_below_exp_overflow(self):
         tried = []
@@ -307,20 +316,10 @@ class TestCalibrationEdges:
     """Where the solved threshold cannot mean what it says, the build ends
     with a typed error instead of returning it."""
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_bittman(1e-22),
-        lambda: build_omt(measure_spec("pi_1", AlternativeModel(-3.0, -3.0), 1e-22)),
-        lambda: build_omt(measure_spec("pi_any", AlternativeModel(-3.0, -3.0), 1e-22))],
-        ids=["bittman", "omt_pi_1", "omt_pi_any"])
-    def test_alpha_below_the_quadrature_floor(self, build):
-        # the null integral leaves out z1 < -Z_RANGE, about 1.05e-21 of mass
-        with pytest.raises(ToleranceNotMet, match=r"below what the null quadrature"):
-            build()
-
     def test_alpha_above_the_floor_still_solves(self, quad_cfg):
         proc = build_omt(measure_spec("pi_1", AlternativeModel(-3.0, -3.0), 1e-18),
                          quad_cfg)
-        assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(1e-18, rel=0.01)
+        assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(1e-18, rel=0.01, abs=0.0)
 
     def test_underflowed_threshold(self, quad_cfg):
         # the solve ends at log t = -763.7, and exp of that is 0
@@ -341,6 +340,47 @@ class TestCalibrationEdges:
         with pytest.raises(ToleranceNotMet, match=cause) as failed:
             build_omt(spec, quad_cfg)
         assert failed.type is ToleranceNotMet
+
+
+class TestSmallAlphaLevels:
+    """The null integral's z1 range follows alpha, so every rule keeps its
+    level however small alpha is."""
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-22, 1e-40, 1e-100, 1e-300, ALPHA_MIN])
+    def test_builtins_match_their_closed_forms(self, alpha, quad_cfg):
+        # hommel and fixed_sequence reject with probability alpha under the
+        # null, bonferroni with 1 - (1 - alpha/2)^2
+        for proc, level in ((hommel(alpha), alpha), (fixed_sequence(alpha), alpha),
+                            (bonferroni(alpha), alpha - alpha * alpha / 4.0)):
+            assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(level, rel=1e-9, abs=0.0)
+
+    def test_closed_stouffer_matches_mpmath(self, quad_cfg):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        alpha = 1e-18
+        proc = closed_stouffer(alpha)
+        za, t = mp.mpf(std_normal_quantile(alpha)), mp.mpf(proc.t_sum)
+
+        def ray(z):          # z1's column where the z2 ray ends at t - z1
+            return mp.npdf(z) * mp.ncdf(t - z)
+        # any rejection: min(z1, z2) <= za and z1 + z2 <= t; between za and
+        # t - za the column's ray ends at za instead
+        want = (mp.quad(ray, [-mp.inf, za - 10, za])
+                + mp.ncdf(za) * (mp.ncdf(t - za) - mp.ncdf(za))
+                + mp.quad(ray, [t - za, t - za + 10, mp.inf]))
+        assert float(want) == pytest.approx(4.8498724e-4 * alpha, rel=1e-7, abs=0.0)
+        assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(float(want), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-22, 1e-40, 1e-300])
+    @pytest.mark.parametrize("build", [
+        lambda a, q: build_bittman(a, q),
+        *[lambda a, q, m=m: build_omt(measure_spec(m, AlternativeModel(-3.0, -3.0), a), q)
+          for m in ("pi_any", "pi_1", "pi_combo")]],
+        ids=["bittman", "omt_pi_any", "omt_pi_1", "omt_pi_combo"])
+    def test_calibrated_rules_solve_to_alpha(self, build, alpha, quad_cfg):
+        # within the solve's tolerance of 0.01 alpha
+        proc = build(alpha, quad_cfg)
+        assert fwer_global(proc, 0.0, quad_cfg) == pytest.approx(alpha, rel=0.01, abs=0.0)
 
 
 class TestExactMassOracle:
