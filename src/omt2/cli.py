@@ -43,7 +43,7 @@ from .power_design import (MEASURE_WEIGHTS, MEASURES, allocation_plan,
                            savings_spec, theta_for_group, theta_from_design,
                            theta_from_marginal_power, TwoArmDesign)
 from .procedures import (MAX_GRID, Procedure, bonferroni, build_bittman,
-                         build_omt, closed_stouffer, export_region,
+                         build_omt, check_shift, closed_stouffer, export_region,
                          fixed_sequence, hommel)
 
 QUAD_PROFILE_ENV = "OMT2_QUAD_PROFILE"
@@ -371,6 +371,11 @@ def cmd_power(cfg: dict, qcfg: QuadratureConfig):
         cols = [(cfg["proc"], _rule(cfg["proc"], alpha, cfg["objective"], th1, th2))]
     else:
         cols = _power_columns(cfg["procedures"], alpha, th1, th2)
+    # the shift bound of a builtin whose cut moves with z1; an optimal
+    # rule's solve fails at such a shift before it is evaluated (exit 3)
+    for name, _ in cols:
+        if name in _BUILTINS:
+            check_shift(name, th1)
     null_like = th1 == 0.0 and th2 == 0.0
 
     def run(out_stream) -> int:

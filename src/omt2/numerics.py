@@ -10,16 +10,17 @@ to vertical/horizontal boundaries.  Each decision region has columns of
 the form ``{z2 <= cut(z1)}``, so the inner integral is a closed-form
 normal CDF and only the outer integral over z1 needs quadrature: fixed
 Gauss-Legendre panels (`panel_nodes`) split at each rule's breakpoints
-(`Procedure.z_breakpoints`), on ``theta1 +- Z_RANGE`` for a model with
-shift theta1, the lower end widened for a rule at alpha below about
-1.05e-9 so that it leaves out at most 1e-12 * alpha
+(`Procedure.z_breakpoints`), on the offsets ``x = z1 - theta1`` in
+``+- Z_RANGE`` for a model with shift theta1, so the nodes keep their
+spacing at any finite shift; the lower end is widened for a rule at alpha
+below about 1.05e-9 so that it leaves out at most 1e-12 * alpha
 (`procedures.region_mass`).  Every ray integral takes its nodes, weights
-and column cuts from one plan per (rule set, z1 range, config), reused by
-every event and model with that range (`procedures._column_plan`).  A threshold
-solve asks for a new plan at each step, so a plan is built in one pass
-over the nodes: the panel edges of the few segments are plain floats,
-and each rule's cuts take a fixed handful of array operations.  The
-result carries no error estimate.
+and column cuts from one plan per (rule set, theta1, range, config),
+reused by every event and model with that theta1
+(`procedures._column_plan`).  A threshold solve asks for a new plan at
+each step, so a plan is built in one pass over the nodes: the panel edges
+of the few segments are plain floats, and each rule's cuts take a fixed
+handful of array operations.  The result carries no error estimate.
 
 Monte Carlo engine
 ------------------

@@ -37,8 +37,8 @@ the rows (c_g, c_1, c_2) of ``ObjectiveSpec.pieces``:
 The score has both its forms here: pointwise, `score_parts` and
 `score_pair` (under `score_z`) for decisions and Monte Carlo runs; per
 column, `score_cut` (the ray of z2 where s > t) and `score_kinks` (the
-z1 values where it changes branch) for the quadrature.  The pieces, za
-and e2 at z2 = za live on the spec, derived once.
+z1 values where it changes branch), which the quadrature reads.  The
+pieces, za and e2 at z2 = za live on the spec, derived once.
 
 Scores are only defined for independent p-values (rho = 0); a spec for
 a correlated model is refused when it is built (DomainError).

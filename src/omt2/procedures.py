@@ -50,8 +50,8 @@ from .objective import (ObjectiveSpec, score_cut, score_kinks, score_pair,
 __all__ = [
     "Decision", "Procedure", "bonferroni", "hommel", "closed_stouffer",
     "fixed_sequence", "build_bittman", "build_omt",
-    "hommel_coincidence_bound", "region_mass", "region_symmetric_difference",
-    "RegionGrid", "export_region",
+    "hommel_coincidence_bound", "check_shift", "region_mass",
+    "region_symmetric_difference", "RegionGrid", "export_region",
 ]
 
 
@@ -226,11 +226,24 @@ def hommel_coincidence_bound(alpha: float) -> float:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GLOBAL_NULL = AlternativeModel(0.0, 0.0, 0.0)
 
-# Bound on |theta1| in `region_mass`.  The z1 nodes near theta1 are
-# rounded to multiples of ulp(theta1), at most 2^-32 below the bound, which
-# moved hommel's d1 by under 3e-11; at 1e16 the rounded nodes gave d1 = 1.6,
-# and from about 2^57 theta1 +- Z_RANGE round to one float.
-MAX_SHIFT = 2.0 ** 21
+# Bound on |theta1| for the rules whose column cut moves with z1: the sum
+# rules' t_sum - z1 and the score rule's cut.  Their cuts are formed at
+# z1 = x + theta1, which rounds x to a multiple of ulp(theta1), and where
+# theta2 cancels the cut the rounding reaches the mass: closed_stouffer's
+# d2 at theta2 = -theta1 is off by 5e-12 at 2^21, 1e-6 at 2^40 and 0.475
+# at 1e160.  The step rules' cuts are constant between breakpoints, so
+# their masses are exact at any finite shift.
+_SLOPED_KINDS = ("closed_stouffer", "bittman", "omt")
+_SLOPED_SHIFT = 2.0 ** 21
+
+
+def check_shift(kind: str, theta1: float) -> None:
+    """DomainError where a `kind` rule cannot be evaluated at theta1:
+    |theta1| >= 2^21 for a rule whose cut moves with z1."""
+    if kind in _SLOPED_KINDS and not abs(theta1) < _SLOPED_SHIFT:
+        raise DomainError(f"theta1 must lie in (-{_SLOPED_SHIFT:.0f}, "
+                          f"{_SLOPED_SHIFT:.0f}) to evaluate {kind}, whose cut "
+                          f"moves with z1; got {theta1!r}")
 
 
 @functools.lru_cache
@@ -240,11 +253,11 @@ def _z1_reach(alpha: float) -> float:
     return max(Z_RANGE, -std_normal_quantile(1e-12 * alpha))
 
 
-def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
-                column_mass: np.ndarray, *procs: Procedure) -> float:
-    """N(m1, 1)-weighted panel sum over z1; a NaN cut or threshold raises."""
-    pdf1 = np.subtract(z1, m1)
-    pdf1 *= pdf1
+def _outer_mass(x: np.ndarray, w: np.ndarray, column_mass: np.ndarray,
+                *procs: Procedure) -> float:
+    """N(0, 1)-weighted panel sum over the offsets x = z1 - theta1; a NaN
+    cut or threshold raises."""
+    pdf1 = np.multiply(x, x)
     pdf1 *= -0.5
     np.exp(pdf1, out=pdf1)
     pdf1 /= _SQRT_2PI
@@ -258,19 +271,22 @@ def _outer_mass(z1: np.ndarray, w: np.ndarray, m1: float,
 
 
 @functools.lru_cache(maxsize=16)
-def _column_plan(procs: tuple[Procedure, ...], lo: float, hi: float,
+def _column_plan(procs: tuple[Procedure, ...], m1: float, lo: float, hi: float,
                  cfg: QuadratureConfig) -> tuple[np.ndarray, ...]:
-    """Panel nodes z1 and weights w on [lo, hi], split at every rule's
-    breakpoints, then each rule's column cuts (c1, c2) at the nodes.
+    """Panel nodes x and weights w on the offsets [lo, hi] from z1 = m1,
+    split at every rule's breakpoints, then each rule's column cuts
+    (c1, c2) at z1 = x + m1.
 
     Every ray integral takes its nodes and cuts from one such plan per
-    (rule set, range, config).  The plan does not depend on the evaluation
-    model, so the events of `region_mass` share it whenever their models
-    give the same range.  The arrays are read-only because they are shared.
+    (rule set, m1, range, config).  The plan depends on the evaluation
+    model only through theta1 = m1, so the events of `region_mass` share
+    it, and so do any two models with the same theta1.  The arrays are
+    read-only because they are shared.
     """
-    z1, w = panel_nodes(lo, hi, [b for p in procs for b in p.z_breakpoints()],
-                        cfg.panels_per_axis, cfg.nodes_per_panel)
-    plan = (z1, w, *(c for p in procs for c in p.column_cuts(z1)))
+    x, w = panel_nodes(lo, hi, [b - m1 for p in procs for b in p.z_breakpoints()],
+                       cfg.panels_per_axis, cfg.nodes_per_panel)
+    z1 = x + m1
+    plan = (x, w, *(c for p in procs for c in p.column_cuts(z1)))
     for arr in plan:
         arr.setflags(write=False)
     return plan
@@ -284,11 +300,14 @@ def region_mass(proc: Procedure, which: str,
     which: "d1", "d2" or "any" (union).  model=None means the global
     null.  The inner z2 integral is the exact conditional normal CDF at
     the column cut; the outer integral uses Gauss-Legendre panels split
-    at the procedure's breakpoints, over z1 from theta1 - `_z1_reach`(alpha)
-    to theta1 + Z_RANGE, for |theta1| < MAX_SHIFT.  Nodes and cuts are built
-    once per (rule, z1 range, config) and reused: the range depends on the
-    model only through theta1, so d1, d2 and "any" under one model, and any
-    two models with the same theta1, share one `_column_plan`.  A plan miss
+    at the procedure's breakpoints, over the offsets x = z1 - theta1 from
+    -`_z1_reach`(alpha) to Z_RANGE, so the nodes keep their spacing at any
+    finite theta1.  The cuts are still formed at z1 = x + theta1, so a rule
+    whose cut moves with z1 is refused at |theta1| >= 2^21 (`check_shift`);
+    the step rules take any finite theta1.  Nodes and cuts are built once
+    per (rule, theta1, config) and reused: d1, d2 and "any" under one
+    model, and any two models with the same theta1, share one
+    `_column_plan`.  A plan miss
     is one pass over the nodes; a hit costs the inner CDF and the sum.
     """
     if which not in ("d1", "d2", "any"):
@@ -296,21 +315,18 @@ def region_mass(proc: Procedure, which: str,
     if model is None:
         model = _GLOBAL_NULL
     m1, m2, rho = model.theta1, model.theta2, model.rho
-    if not abs(m1) < MAX_SHIFT:
-        raise DomainError(f"theta1 must lie in (-{MAX_SHIFT:.0f}, {MAX_SHIFT:.0f}) "
-                          f"for the quadrature, got {m1!r}")
-    z1, w, c1, c2 = _column_plan((proc,), m1 - _z1_reach(proc.alpha), m1 + Z_RANGE,
-                                 cfg)
+    check_shift(proc.kind, m1)
+    x, w, c1, c2 = _column_plan((proc,), m1, -_z1_reach(proc.alpha), Z_RANGE, cfg)
     cut = c1 if which == "d1" else c2 if which == "d2" else np.maximum(c1, c2)
     # ndtr(+-inf) is exactly 1/0, so always/never-rejected columns need
     # no special case; a NaN cut surfaces as a non-finite mass.  For
-    # rho = 0 the conditional mean m2 + 0*(z1 - m1) is m2 itself and the
-    # sd is 1.0, so the general form below adds nothing.
+    # rho = 0 the conditional mean m2 + 0*x is m2 itself and the sd is
+    # 1.0, so the general form below adds nothing.
     if rho == 0.0:
         inner = ndtr(cut - m2 if m2 else cut)
     else:
-        inner = ndtr((cut - (m2 + rho * (z1 - m1))) / math.sqrt(1.0 - rho * rho))
-    return _outer_mass(z1, w, m1, inner, proc)
+        inner = ndtr((cut - (m2 + rho * x)) / math.sqrt(1.0 - rho * rho))
+    return _outer_mass(x, w, inner, proc)
 
 
 def region_symmetric_difference(pa: Procedure, pb: Procedure,
@@ -321,11 +337,12 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
     intervals (one per hypothesis); its null mass is computed exactly
     and integrated over z1 up to Z_RANGE, from -Z_RANGE - 4 or lower (see
     `_z1_reach`).  Like every ray integral it takes its nodes and cuts from
-    one plan per (rule set, range, config): the pair's, at twice the panels.
+    one plan per (rule set, theta1, range, config): the pair's at theta1 =
+    0, at twice the panels.
     """
     wide = replace(cfg, panels_per_axis=2 * cfg.panels_per_axis)
     lo = min(-Z_RANGE - 4.0, -_z1_reach(min(pa.alpha, pb.alpha)))
-    z1, w, a1, a2, b1, b2 = _column_plan((pa, pb), lo, Z_RANGE, wide)
+    z1, w, a1, a2, b1, b2 = _column_plan((pa, pb), 0.0, lo, Z_RANGE, wide)
     lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
     lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
 
@@ -333,7 +350,7 @@ def region_symmetric_difference(pa: Procedure, pb: Procedure,
     olo = np.maximum(lo1, lo2)
     ohi = np.minimum(hi1, hi2)
     mass = mass - np.where(ohi > olo, ndtr(ohi) - ndtr(olo), 0.0)
-    return _outer_mass(z1, w, 0.0, mass, pa, pb)
+    return _outer_mass(z1, w, mass, pa, pb)
 
 
 # ----------------------------------------------------------------------

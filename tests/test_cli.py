@@ -92,18 +92,31 @@ class TestPowerCommand:
         rows = dict(line.split() for line in out.splitlines()[2:])
         assert (rows["pi_any"], rows["pi_avg"]) == ("1.0000", "0.9254")
 
-    def test_shift_beyond_quadrature_bound(self, capsys):
-        code, _ = run(["power", "--proc", "hommel", "--theta1=-1e160", "--theta2=-3"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "configuration error: theta1 must lie in (-2097152, 2097152) for the "
-            "quadrature, got -1e+160\n")
+    def test_far_shift_prints_the_near_table(self):
+        # the nodes are offsets from theta1, so any finite shift this far
+        # gives the table of theta1 = -1000, where hommel's columns all
+        # lie below zh; its dump is made as well
+        argv = ["power", "--proc", "hommel", "--theta2=-3"]
+        code, near = run(argv + ["--theta1=-1000"])
+        code_far, far = run(argv + ["--theta1=-1e160"])
+        assert code == code_far == 0
+        assert far == near.replace("(-1000, -3)", "(-1e+160, -3)")
+        assert run(argv + ["--theta1=-1e160", "--dump-config"])[0] == 0
 
-    def test_evaluation_error_leaves_stdout_empty(self, capsys):
+    def test_evaluation_error_leaves_stdout_empty(self, monkeypatch, capsys):
         # every cell is evaluated before the table head is written
-        code, out = run(["power", "--proc", "hommel", "--theta1=-3e6", "--theta2=-3"])
-        assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("configuration error: theta1 must lie")
+        real, calls = cli_mod.evaluate_power, []
+
+        def fails_on_a_later_column(proc, model, cfg):
+            calls.append(proc)
+            if len(calls) > 1:
+                raise ToleranceNotMet("injected")
+            return real(proc, model, cfg)
+        monkeypatch.setattr(cli_mod, "evaluate_power", fails_on_a_later_column)
+        code, out = run(["power", "--procedures", "all", "--theta1=-2",
+                         "--theta2=-3"])
+        assert (code, out) == (3, "") and len(calls) == 2
+        assert capsys.readouterr().err == "numerical failure: injected\n"
 
     def test_null_fwer_closed_stouffer_conservative(self):
         code, out = run(["power", "--proc", "closed_stouffer", "--theta1", "0",
@@ -420,12 +433,18 @@ class TestSavingsCommand:
     @pytest.mark.parametrize("n_cap", ["99999999999999999999", "1" + "0" * 400],
                              ids=["20_digits", "401_digits"])
     def test_cap_past_the_shift_bound_names_n_cap(self, calibration, n_cap, capsys):
-        code, out = run(["savings", "--measure", "pi_any", "--N", "4800",
-                         "--n-cap", n_cap, "--calibration", calibration])
+        # the one bound on the shift is the float range: a cap whose shift
+        # is a float gives the default's lines, and one past it is refused
+        argv = ["savings", "--measure", "pi_any", "--N", "4800",
+                "--calibration", calibration]
+        code, out = run(argv + ["--n-cap", n_cap])
+        if len(n_cap) < 400:
+            assert (code, out) == run(argv)
+            return
         assert (code, out) == (2, "")
-        err = capsys.readouterr().err
-        assert f"n_cap = {n_cap} implies the shift" in err
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: n_cap = {n_cap} implies a shift beyond the "
+            "float range\n")
 
 
 class TestConfigHandling:
@@ -504,6 +523,9 @@ class TestConfigHandling:
         (HOMMEL_POWER + ["--rho", "1"], "rho must be in (-1, 1), got 1.0"),
         (["allocate", "--N", "1", "--grid", "0.5"],
          "N must be an integer in [2, inf), got 1"),
+        (["allocate", "--N", "3", "--grid", "0.5"],
+         "split r=0.5 of 3 persons funds a group of 1 person; a funded group "
+         "needs 2, one per arm"),
         (ALLOCATE + ["--rate-treat", "0"], "rate_treat must be in (0, 1), got 0.0"),
         (["apex", "--n-control1", "0"], "n_control1 must be an integer in [1, inf), got 0"),
         (["apex", "--events-treat2", "1199"],
@@ -512,17 +534,19 @@ class TestConfigHandling:
         (["apex", "--beta", "1"], "beta must be in [alpha, 1), got 1.0"),
         (["savings", "--N", "3"], "N must be an integer in [4, inf), got 3"),
         (["savings", "--n-cap", "3"], "n_cap must be an integer in [4, inf), got 3"),
-        (["savings", "--n-cap", "1" + "0" * 30],
-         "n_cap = 1000000000000000000000000000000 implies the shift -4.32493e+13, "
-         "outside (-2097152, 2097152)"),
+        (["savings", "--n-cap", "1" + "0" * 400],
+         f"n_cap = 1{'0' * 400} implies a shift beyond the float range"),
         (ALLOCATE + ["--rate-treat", "0.1"],
          "score alternatives need strictly negative shifts, got "
          "(0.3131121455425748, 0.3131121455425748)"),
+        (["power", "--proc", "closed_stouffer", "--theta1=1e16", "--theta2=-1e16"],
+         "theta1 must lie in (-2097152, 2097152) to evaluate closed_stouffer, "
+         "whose cut moves with z1; got 1e+16"),
     ], ids=["reps", "seed", "alpha_region", "alpha_power", "alpha_allocate",
             "alpha_apex", "alpha_savings", "grid", "z_range", "theta1", "out",
-            "design_arm", "marginal_power", "rho", "N_allocate", "rate_treat",
-            "n_control1", "events_treat2", "rate_control", "beta", "N_savings",
-            "n_cap", "n_cap_shift", "allocate_rates"])
+            "design_arm", "marginal_power", "rho", "N_allocate", "group_of_one",
+            "rate_treat", "n_control1", "events_treat2", "rate_control", "beta",
+            "N_savings", "n_cap", "n_cap_shift", "allocate_rates", "moving_cut_shift"])
     def test_dump_config_refuses_what_the_run_refuses(self, argv, err, capsys):
         # every key's check, and the command's own, come before the dump
         for dump in ([], ["--dump-config"]):

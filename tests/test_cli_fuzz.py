@@ -107,11 +107,6 @@ def test_edge_tokens_end_typed(name, tmp_path, monkeypatch):
     assert bad == []
 
 
-# The one refusal a dump does not make: the quadrature's bound on |theta1|,
-# which a run meets only where it evaluates a power at the shift.
-QUADRATURE_BOUND = "configuration error: theta1 must lie in ("
-
-
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_dump_refuses_exactly_what_the_run_refuses(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -121,8 +116,6 @@ def test_dump_refuses_exactly_what_the_run_refuses(name, tmp_path, monkeypatch):
         with time_limit(20):
             code, _, err, _ = _run([command, "--config", path])
             dump_code, _, dump_err, _ = _run([command, "--config", path, "--dump-config"])
-        if code == 2 and err[0].startswith(QUADRATURE_BOUND):
-            continue
         refused += code == 2
         if (code == 2) != (dump_code == 2) or (code == 2 and err != dump_err):
             bad.append((change, code, err, dump_code, dump_err))

@@ -2,7 +2,8 @@
 
 The corpus is the six README commands plus a few wider runs (all
 builtins, seeded Monte Carlo, a correlated model, the second apex
-calibration and a design-calibrated savings search).  Each command runs
+calibration, a design-calibrated savings search and a correlated model
+at a far shift).  Each command runs
 in-process through `omt2.cli.main` inside a temporary directory; the
 record keeps the exit code, stdout and the sha256 of every file the
 command writes there (the `region` and `allocate` CSVs).
@@ -43,6 +44,7 @@ COMMANDS = (
     "--reps 100000",
     "apex --calibration marginal-power",
     "savings --measure pi_combo --N 3000 --calibration design",
+    "power --proc hommel --theta1=-3e6 --theta2=-2.5 --rho 0.5",
 )
 
 

@@ -606,7 +606,7 @@ class TestAllocation:
         # every split is checked before the first rule is built
         monkeypatch.setattr(omt2.power_design, "build_omt",
                             lambda *a: pytest.fail("built before the check"))
-        with pytest.raises(DomainError, match=rf"^split r=\S+ of n_total={n_total} "
+        with pytest.raises(DomainError, match=rf"^split r=\S+ of {n_total} persons "
                            "funds a group of 1 person"):
             allocation_search(n_total, (0.0, 0.0, 1.0), 0.1, 0.07, grid, ALPHA,
                               quad_cfg)

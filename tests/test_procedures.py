@@ -619,10 +619,41 @@ class TestRayMassGuards:
         assert region_mass(hommel(ALPHA), "d1", model, quad_cfg) == pytest.approx(
             1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("theta1", [-procedures.MAX_SHIFT, 3e6, -1e160])
-    def test_shift_beyond_bound_is_domain_error(self, theta1, quad_cfg):
-        with pytest.raises(DomainError, match="theta1 must lie in"):
-            region_mass(hommel(ALPHA), "any", AlternativeModel(theta1, -3.0), quad_cfg)
+    @pytest.mark.parametrize("theta1", [-1000.0, -2.0 ** 21, 3e6, -3e6, 1e160,
+                                        -1e160, 1.7e308, -1.7e308])
+    def test_far_shift_matches_closed_form(self, theta1, quad_cfg):
+        # every column lies below zh (theta1 < 0) or above za (theta1 > 0):
+        # hommel then rejects H1 surely or never, and H2 at za or zh alone
+        model = AlternativeModel(theta1, -3.0)
+        masses = [region_mass(hommel(ALPHA), which, model, quad_cfg)
+                  for which in ("d1", "d2", "any")]
+        if theta1 < 0:
+            expected = [1.0, ndtr(ZA + 3.0), 1.0]
+        else:
+            expected = [0.0, ndtr(ZH + 3.0), ndtr(ZH + 3.0)]
+        assert masses == pytest.approx(expected, abs=1e-15, rel=0)
+        assert max(masses) <= 1.0
+
+    @pytest.mark.parametrize("theta1", [1e4 + 0.3, 2.0 ** 20 + 0.3])
+    def test_sum_rule_at_a_cancelling_shift_matches_closed_form(self, theta1,
+                                                                quad_cfg):
+        # every column lies above za and every z2 below it, so d2 is
+        # P(z1 + z2 <= t_sum) = Phi(t_sum / sqrt 2) at theta2 = -theta1
+        model = AlternativeModel(theta1, -theta1)
+        for proc in (closed_stouffer(ALPHA), build_bittman(ALPHA, quad_cfg)):
+            assert region_mass(proc, "d2", model, quad_cfg) == pytest.approx(
+                ndtr(proc.t_sum / math.sqrt(2.0)), abs=1e-11, rel=0)
+
+    @pytest.mark.parametrize("theta1", [2.0 ** 21, -3e6, 1e16, -1e160, 1.7e308])
+    def test_moving_cut_past_its_shift_bound_is_domain_error(self, theta1, quad_cfg):
+        # a cut that moves with z1 is formed at z1 = x + theta1, which no
+        # longer resolves the offsets x; a step rule still answers
+        model = AlternativeModel(theta1, -theta1)
+        for proc in (closed_stouffer(ALPHA), build_bittman(ALPHA, quad_cfg),
+                     build_omt(SPEC_ONE, quad_cfg)):
+            with pytest.raises(DomainError, match="whose cut moves with z1"):
+                region_mass(proc, "d2", model, quad_cfg)
+        assert 0.0 <= region_mass(hommel(ALPHA), "d2", model, quad_cfg) <= 1.0
 
     @pytest.mark.parametrize("call", [
         lambda cfg: region_mass(Procedure("hommel", 0.7), "any", None, cfg),
@@ -683,25 +714,26 @@ def where_chain_union_cut(spec, t, z1):
     return np.where(z1 <= za, cut_low, cut_f2)
 
 
-def squared_outer_mass(z1, w, m1, column_mass):
+def squared_outer_mass(x, w, column_mass):
     """`procedures._outer_mass` with the pdf as one expression and np.sum."""
-    pdf1 = np.exp(-0.5 * (z1 - m1) ** 2) / math.sqrt(2.0 * math.pi)
+    pdf1 = np.exp(-0.5 * x ** 2) / math.sqrt(2.0 * math.pi)
     return float(np.sum(w * pdf1 * column_mass))
 
 
-def conditional_inner(cut, z1, model):
-    """The inner CDF at a column cut in its general form, for any rho."""
-    m1, m2, rho = model.theta1, model.theta2, model.rho
-    return ndtr((cut - (m2 + rho * (z1 - m1))) / math.sqrt(1.0 - rho * rho))
+def conditional_inner(cut, x, model):
+    """The inner CDF at a column cut in its general form, for any rho, at
+    the offsets x = z1 - theta1."""
+    m2, rho = model.theta2, model.rho
+    return ndtr((cut - (m2 + rho * x)) / math.sqrt(1.0 - rho * rho))
 
 
 def reference_mass(proc, which, model, cfg):
     """`region_mass` from its plan through the reference kernels."""
     model = model or AlternativeModel(0.0, 0.0, 0.0)
-    z1, w, c1, c2 = procedures._column_plan(
-        (proc,), model.theta1 - numerics.Z_RANGE, model.theta1 + numerics.Z_RANGE, cfg)
+    x, w, c1, c2 = procedures._column_plan(
+        (proc,), model.theta1, -numerics.Z_RANGE, numerics.Z_RANGE, cfg)
     cut = {"d1": c1, "d2": c2, "any": np.maximum(c1, c2)}[which]
-    return squared_outer_mass(z1, w, model.theta1, conditional_inner(cut, z1, model))
+    return squared_outer_mass(x, w, conditional_inner(cut, x, model))
 
 
 def kernel_grid():
@@ -763,9 +795,10 @@ class TestKernelsMatchReferences:
         rng = np.random.default_rng(7)
         z1, w = numerics.panel_nodes(-12.0, 9.5, [ZA, ZH], 24, 16)
         for m1 in (0.0, -0.0, -2.5, 3.0, -1e3, 2.0 ** 20):
+            x = z1 - m1
             cm = rng.uniform(0.0, 1.0, z1.size)
-            assert (procedures._outer_mass(z1, w, m1, cm).hex()
-                    == squared_outer_mass(z1, w, m1, cm).hex())
+            assert (procedures._outer_mass(x, w, cm).hex()
+                    == squared_outer_mass(x, w, cm).hex())
 
     @pytest.mark.parametrize("model", [
         None, AlternativeModel(-2.5, 0.0), AlternativeModel(-2.5, -0.0),
@@ -815,7 +848,7 @@ class TestColumnPlan:
         assert region_mass(proc, "any", model, quad_cfg) == first
 
     def test_plan_arrays_are_read_only(self, quad_cfg):
-        plan = procedures._column_plan((hommel(ALPHA),), -11.5, 9.5, quad_cfg)
+        plan = procedures._column_plan((hommel(ALPHA),), 0.0, -11.5, 9.5, quad_cfg)
         for arr in plan:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -869,20 +902,38 @@ class TestColumnPlan:
 
 
 class TestSolverBits:
-    def test_solved_thresholds_and_powers_pinned(self):
-        # 45 omt solves with their power reports and 3 bittman solves,
-        # pinned bit for bit (hex floats, reprs)
-        h = hashlib.sha256()
+    """45 omt solves with their power reports and 3 bittman solves, pinned
+    bit for bit (hex floats, reprs).  The thresholds and the powers have
+    a digest each: a change to the alternative quadrature may move a
+    power by rounding while every threshold, a null-mass root, stays put."""
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        """(thresholds, power reports) in the order the digests take them."""
+        thresholds, reports = [], []
         for alpha in (0.01, 0.025, 0.05):
             for w in [*MEASURE_WEIGHTS.values(), (0.2, 0.3, 0.5)]:
                 for theta in ((-2.2, -2.9), (-3.0, -3.0), (-5.0, -3.5)):
                     model = AlternativeModel(*theta)
                     proc = build_omt(ObjectiveSpec(*w, model, alpha))
-                    h.update(proc.t_score.hex().encode())
-                    h.update(repr(evaluate_power(proc, model)).encode())
-            h.update(build_bittman(alpha).t_sum.hex().encode())
+                    thresholds.append(proc.t_score)
+                    reports.append(evaluate_power(proc, model))
+            thresholds.append(build_bittman(alpha).t_sum)
+        return thresholds, reports
+
+    def test_solved_thresholds_pinned(self, solves):
+        h = hashlib.sha256()
+        for t in solves[0]:
+            h.update(t.hex().encode())
         assert h.hexdigest() == (
-            "b01082bfb1bdcbab51a104979c7bf6138a6febb130fa5bd48d8c4fad96d6f964")
+            "c298da15d89b126b2ae6205b6cdb2336a9188beab01e22bb3fb0a2a3c71f596b")
+
+    def test_powers_pinned(self, solves):
+        h = hashlib.sha256()
+        for rep in solves[1]:
+            h.update(repr(rep).encode())
+        assert h.hexdigest() == (
+            "aeb5845136d9870dbfcfd179a6f6c1b484bb41e5cfd75d1e4d2ca9d57ef2a1d5")
 
 
 class TestCallStructure:
